@@ -604,11 +604,8 @@ def perplexity_scores(docs: ray.data.Dataset,
     from .relational import hash_join
 
     # ONE h1-bucket groupby finishes the c12 sums AND resolves c1/lp
-    # in-bucket — no join: rows sharing h1 are co-located, and a
-    # hash_join here would ride the full-64-bit h12 digest through the
-    # null-padded union as a NON-key column, where the float64
-    # round-trip corrupts values ≥ 2^53 (the luby_mis `>> 11` lesson;
-    # keys survive, payloads must not).
+    # in-bucket — no join: rows sharing h1 are already co-located, so a
+    # hash_join here would only add a second shuffle.
     def reduce_lp(g: pd.DataFrame) -> pa.Table:
         r = g.groupby(["h1", "h12"], as_index=False).agg(c12=("n", "sum"))
         c1 = r.groupby("h1")["c12"].transform("sum").to_numpy(np.float64)

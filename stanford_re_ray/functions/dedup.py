@@ -377,8 +377,7 @@ def ngram_jaccard_pairs(
 
         return pa.table({"doc_id": pa.concat_arrays([
             b.column("doc_a").combine_chunks(),
-            pc.cast(b.column("doc_b"), pa.int64(),
-                    safe=True).combine_chunks()])})
+            b.column("doc_b").combine_chunks()])})
 
     cand_ids = cand.map_batches(_cand_ids, batch_format="pyarrow")
     docs = _bloom_prune_probe(docs, cand_ids, ["doc_id"])
@@ -408,15 +407,15 @@ def ngram_jaccard_pairs(
         ref = broadcast.put((ids_sorted, texts_sorted))
 
         def verify_broadcast(batch: pa.Table, _ref=ref) -> pa.Table:
-            import pyarrow.compute as pc
-
             from ..state.broadcast import fetch
 
             sids, txts = fetch(_ref)
+            if not len(sids):   # pruned doc set empty: every pair drops
+                batch = batch.slice(0, 0)
             a = batch.column("doc_a").to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
-            bb = pc.cast(batch.column("doc_b"), pa.int64(), safe=True) \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
+            bb = batch.column("doc_b").to_numpy(zero_copy_only=False) \
+                .astype(np.int64)
             ia = np.searchsorted(sids, a)
             ib = np.searchsorted(sids, bb)
             # mirror the inner-join semantics exactly: a candidate id
@@ -459,15 +458,7 @@ def ngram_jaccard_pairs(
     )
 
     def as_b_key(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # the null-padded union inside hash_join promotes doc_b to float;
-        # restore int64 so the second join keys/buckets match.  safe=True:
-        # a doc id that would round-trip lossily (> 2^53) must error
-        # loudly, not corrupt join keys (same contract as
-        # embedding_neardup_pairs' vec_b restore).
-        return pa.table({"doc_id": pc.cast(batch.column("doc_b"), pa.int64(),
-                                           safe=True),
+        return pa.table({"doc_id": batch.column("doc_b"),
                          "doc_a": batch.column("doc_id"),
                          "text_a": batch.column("text_a")})
 
@@ -834,14 +825,7 @@ def embedding_neardup_pairs(
                        emb_a, on="vec_id")
 
     def as_b_key(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        # the null-padded union inside hash_join promotes vec_b to float;
-        # restore int64 so the second join keys/buckets match.  safe=True:
-        # ids are exact in float64 only below 2^53, and a lossy value here
-        # must error loudly, never corrupt a join key
-        return pa.table({"vec_id": pc.cast(batch.column("vec_b"),
-                                           pa.int64(), safe=True),
+        return pa.table({"vec_id": batch.column("vec_b"),
                          "vec_a": batch.column("vec_id"),
                          "emb_a": batch.column("emb_a")})
 

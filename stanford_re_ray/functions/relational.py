@@ -5,7 +5,9 @@ does not (portably) provide.
 union-with-side-tag + ``groupby(key).map_groups`` — the portable pattern
 for both-sides-large joins (each group holds only the rows of one key).
 Broadcast (small-side) joins should NOT use this: ship the small side via
-``ray.put`` and merge inside ``map_batches`` (see ``broadcast_join``).
+``ray.put`` and join inside ``map_batches`` (see ``broadcast_join``).
+Every equi-join body (``hash_join``, ``broadcast_join``, ``smb_join``)
+runs the one Arrow kernel ``_join_tables``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -20,10 +23,9 @@ import ray.data
 
 #: Target per-bucket row budget for the size-derived ``n_buckets``
 #: default.  The memory bound: one bucket (left + right rows of its keys)
-#: is pandas-merged inside a single map_groups task, so
-#: TARGET_ROWS_PER_BUCKET × avg-row-width must fit one worker's heap with
-#: pandas overhead (~3-5× Arrow).  250k rows × ~200 B ≈ 50 MB Arrow /
-#: ~250 MB pandas peak — comfortable for 4 GB workers.
+#: is joined inside a single map_groups task, so TARGET_ROWS_PER_BUCKET ×
+#: avg-row-width must fit one worker's heap with the join's copies.
+#: 250k rows × ~200 B ≈ 50 MB Arrow — comfortable for 4 GB workers.
 TARGET_ROWS_PER_BUCKET = 250_000
 
 #: n_buckets ceiling: reduce-task metadata and the driver's group planning
@@ -139,12 +141,21 @@ JOIN_BLOOM_K = 4
 
 def _join_key_u64(batch: pa.Table, on: list[str]) -> np.ndarray:
     """Process-independent vectorized 64-bit key hash (the same
-    ``pd.util.hash_pandas_object`` family as ``add_bucket``'s routing —
+    ``pd.util.hash_pandas_object`` family as ``_route_buckets`` —
     stability is what matters, not the particular value, because both
-    the build and the probe side compute it identically)."""
-    return pd.util.hash_pandas_object(
-        batch.select(on).to_pandas(), index=False
-    ).to_numpy().astype(np.uint64)
+    the build and the probe side compute it identically).  Only rows
+    with no null key are hashed (the rest get 0: a null key never
+    matches): a null turns an int column float64 in pandas, so one null
+    would change every other row's hash in its batch."""
+    keys = batch.select(on)
+    valid = np.ones(batch.num_rows, bool)
+    for c in keys.columns:
+        if c.null_count:
+            valid &= pc.is_valid(c).to_numpy()
+    h = np.zeros(batch.num_rows, np.uint64)
+    h[valid] = pd.util.hash_pandas_object(
+        keys.filter(pa.array(valid)).to_pandas(), index=False).to_numpy()
+    return h
 
 
 def _bloom_prune_probe(
@@ -201,6 +212,112 @@ def _bloom_prune_probe(
     return left.map_batches(probe, batch_format="pyarrow")
 
 
+#: ``how`` → Acero join type for ``_join_tables``
+_ACERO_JOIN_TYPES = {"inner": "inner", "left": "left outer",
+                     "outer": "full outer", "semi": "left semi",
+                     "anti": "left anti"}
+
+
+def _join_tables(left: pa.Table, right: pa.Table, on: list[str],
+                 how: str) -> pa.Table:
+    """The engine's one local equi-join: Acero joins the key columns plus
+    a row index per side, and every payload column is ``take``n from its
+    own side — so payloads keep their declared Arrow types (no float64
+    round-trip; list payloads, which Acero rejects as non-key join
+    fields, ride along too).  Rows come out in (left row, right row)
+    order with unmatched right rows last — pandas' inner/left merge
+    order, so a bucket's output is deterministic.  Null keys never match
+    (SQL semantics); left/anti/outer keep those rows.  Output columns:
+    ``left``'s in order, then ``right``'s non-key columns, which the
+    caller has checked are disjoint from ``left``'s."""
+    lk = left.select(on)
+    rk = right.select(on)
+    for i, c in enumerate(on):
+        lt, rt = lk.field(c).type, rk.field(c).type
+        if lt != rt:   # e.g. int32 vs int64: Acero needs one key type
+            t = pa.unify_schemas([pa.schema([(c, lt)]),
+                                  pa.schema([(c, rt)])],
+                                 promote_options="permissive").field(c).type
+            lk = lk.set_column(i, c, lk.column(c).cast(t))
+            rk = rk.set_column(i, c, rk.column(c).cast(t))
+    m = lk.append_column("__l", pa.array(np.arange(left.num_rows))).join(
+        rk.append_column("__r", pa.array(np.arange(right.num_rows))),
+        keys=on, join_type=_ACERO_JOIN_TYPES[how], use_threads=False)
+    m = m.take(pc.sort_indices(
+        m, [(c, "ascending") for c in ("__l", "__r") if c in m.column_names],
+        null_placement="at_end"))
+    li = m.column("__l")
+    cols = {c: m.column(c) if c in on else left.column(c).take(li)
+            for c in left.column_names}
+    if how not in ("semi", "anti"):
+        ri = m.column("__r")
+        cols.update((c, right.column(c).take(ri))
+                    for c in right.column_names if c not in on)
+    return pa.table(cols)
+
+
+def _row_hash_u64(batch: pa.Table, cols: list[str]) -> np.ndarray:
+    """Content hash of each row over ``cols``, null-tolerant: every
+    column hashes on its own (a null gets 0), then the per-column hashes
+    combine — so a null never zeroes the row, and one row's null never
+    changes another row's hash in its batch."""
+    return pd.util.hash_pandas_object(
+        pd.DataFrame({c: _join_key_u64(batch, [c]) for c in cols}),
+        index=False).to_numpy()
+
+
+def _route_buckets(batch: pa.Table, on: list[str], n_buckets: int,
+                   salt_keys: dict, max_salt: int,
+                   spread_cols: list[str]) -> pa.Table:
+    """``hash_join``'s routing: append ``__bucket`` to a tagged batch.
+    Salted hot keys spread their left rows over k sub-buckets by a
+    content hash of the row's non-nested ``spread_cols`` (the left
+    side's own columns: the right-only ones are null on every left row)
+    and replicate their right rows to all k."""
+    if not salt_keys and len(on) == 1 and \
+            pa.types.is_integer(batch.column(on[0]).type):
+        # fill nulls first: a null makes to_numpy float64, which would
+        # route a key ≥ 2^53 away from its non-null-batch twin (null
+        # keys never match, so any bucket serves them)
+        b = (pc.fill_null(batch.column(on[0]), 0).to_numpy()
+             % n_buckets).astype(np.int32)
+        return batch.append_column("__bucket", pa.array(b, pa.int32()))
+    # string / multi-column keys: vectorized fixed-key siphash
+    # (pd.util.hash_pandas_object — process-independent, so the
+    # determinism rule holds).  Routing only co-locates a key's rows;
+    # it never affects join OUTPUT, so the hash needs stability, not
+    # any particular value.
+    h = _join_key_u64(batch, on)
+    b0 = (h % np.uint64(n_buckets)).astype(np.int32)
+    if not salt_keys:
+        return batch.append_column("__bucket", pa.array(b0, pa.int32()))
+    # skew salting: resolve each DISTINCT key hash's split factor once
+    # (rows of one key share its hash, so every row of a key gets the
+    # same k); hot left rows spread by a row content hash, hot
+    # right rows replicate to all k sub-buckets
+    _, first, inv = np.unique(h, return_index=True, return_inverse=True)
+    reps = batch.select(on).take(pa.array(first)).to_pylist()
+    k = np.array([salt_keys.get(tuple(str(r[c]) for c in on), 1)
+                  for r in reps], np.int64)[inv]
+    is_l = pc.equal(batch.column("__side"), "l").to_numpy()
+    salt = np.zeros(batch.num_rows, np.int64)
+    spread = np.flatnonzero(is_l & (k > 1))
+    if len(spread):
+        # list columns do not hash; the spread needs determinism,
+        # not a distinct sub-bucket per row
+        flat = [c for c in spread_cols
+                if not pa.types.is_nested(batch.schema.field(c).type)]
+        h_row = _row_hash_u64(batch.take(pa.array(spread)), flat)
+        salt[spread] = (h_row % k[spread].astype(np.uint64)).astype(np.int64)
+    copies = np.where(is_l, 1, k)
+    ends = np.cumsum(copies)
+    idx = np.repeat(np.arange(batch.num_rows), copies)
+    nth = np.arange(len(idx)) - np.repeat(ends - copies, copies)
+    bucket = np.repeat(b0.astype(np.int64) * max_salt + salt, copies) + nth
+    return batch.take(pa.array(idx)).append_column(
+        "__bucket", pa.array(bucket.astype(np.int32), pa.int32()))
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -227,12 +344,15 @@ def hash_join(
 
     Implementation: tag each side, align schemas (missing columns →
     nulls), union, add ``__bucket = hash(key) % n_buckets``, group by the
-    BUCKET (not the key — per-key groups pay pandas-per-group overhead for
-    every distinct key), and pandas-merge the two sides inside each bucket.
-    One shuffle; bucket size ≈ |rows| / n_buckets.
+    BUCKET (not the key — per-key groups pay per-group overhead for
+    every distinct key), and join the two sides inside each bucket with
+    the Arrow kernel ``_join_tables``.  One shuffle; bucket size ≈
+    |rows| / n_buckets.
     ``how``: inner | left | outer (full) | semi | anti (left-anti).
     Bucket-local outer is globally correct because every row of a key
-    lands in exactly one bucket.
+    lands in exactly one bucket.  Payloads keep their declared Arrow
+    types (exact int64 at any magnitude, list columns included); null
+    keys never match, as in SQL — left/anti/outer keep those rows.
 
     ``bloom_prune=True`` (inner/semi only): one streaming pass builds a
     Bloom filter of the right side's keys (512 KB broadcast), and left
@@ -243,9 +363,9 @@ def hash_join(
     Skew guardrail: every row of one key must land in one bucket, so a
     pathologically hot key's bucket must fit a worker.  ``salt_keys``
     maps key tuples → split factor k: LEFT rows of a hot key spread over
-    k sub-buckets by a content hash of the whole row (deterministic under
-    any partitioning); RIGHT rows of that key replicate to all k
-    sub-buckets — the standard skew join.  Only inner/left support
+    k sub-buckets by a content hash of the row's own non-nested columns
+    (deterministic under any partitioning); RIGHT rows of that key
+    replicate to all k sub-buckets — the standard skew join.  Only inner/left support
     salting (semi/anti would double-count replicated right rows).
     """
     if how not in ("inner", "left", "outer", "semi", "anti"):
@@ -325,118 +445,21 @@ def hash_join(
     tagged = _tag_and_align(left, "l", all_cols, types).union(
         _tag_and_align(right, "r", all_cols, types)
     )
+    bucketed = tagged.map_batches(
+        _route_buckets, batch_format="pyarrow",
+        fn_kwargs=dict(on=on, n_buckets=n_buckets, salt_keys=salt_keys,
+                       max_salt=max_salt, spread_cols=l_cols))
+    l_keep = on + [c for c in l_cols if c not in on]
+    r_keep = on + [c for c in r_cols if c not in on]
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        if not salt_keys and len(on) == 1 and \
-                pa.types.is_integer(batch.column(on[0]).type):
-            b = (batch.column(on[0]).to_numpy(zero_copy_only=False)
-                 % n_buckets).astype(np.int32)
-            buckets = pa.array(b, pa.int32())
-            return batch.append_column("__bucket", buckets)
-        if not salt_keys:
-            # string / multi-column keys: vectorized fixed-key siphash
-            # (pd.util.hash_pandas_object — process-independent, so the
-            # determinism rule holds).  Routing only co-locates a key's
-            # rows; it never affects join OUTPUT, so the hash function
-            # needs stability, not any particular value.  The per-row
-            # crc32 loop below (kept for the salted path, which also
-            # content-hashes whole rows) cost seconds per million rows.
-            h = pd.util.hash_pandas_object(
-                batch.select(on).to_pandas(), index=False).to_numpy()
-            return batch.append_column(
-                "__bucket",
-                pa.array((h % np.uint64(n_buckets)).astype(np.int32),
-                         pa.int32()))
-        key_rows = list(zip(*(batch.column(c).to_pylist() for c in on)))
-        base = [
-            zlib.crc32("\x00".join(str(v) for v in row)
-                       .encode("utf-8", "surrogatepass")) % n_buckets
-            for row in key_rows
-        ]
-        if not salt_keys:
-            return batch.append_column(
-                "__bucket", pa.array(base, pa.int32()))
-        # skew salting: left rows spread; right rows replicate
-        sides = batch.column("__side").to_pylist()
-        all_cols = {c: batch.column(c).to_pylist()
-                    for c in batch.column_names}
-        out_cols: dict[str, list] = {c: [] for c in batch.column_names}
-        out_bucket: list[int] = []
-
-        def emit(i, bucket):
-            for c in batch.column_names:
-                out_cols[c].append(all_cols[c][i])
-            out_bucket.append(bucket)
-
-        for i, (row, b0) in enumerate(zip(key_rows, base)):
-            k = salt_keys.get(tuple(str(v) for v in row))
-            if not k or k <= 1:
-                emit(i, b0 * max_salt)
-            elif sides[i] == "l":
-                content = "\x01".join(
-                    str(all_cols[c][i]) for c in batch.column_names
-                    if c != "__side")
-                salt = zlib.crc32(content.encode("utf-8",
-                                                 "surrogatepass")) % k
-                emit(i, b0 * max_salt + salt)
-            else:
-                for salt in range(k):
-                    emit(i, b0 * max_salt + salt)
-        tbl = pa.table({
-            c: pa.array(out_cols[c], batch.column(c).type)
-            for c in batch.column_names
-        })
-        return tbl.append_column("__bucket",
-                                 pa.array(out_bucket, pa.int32()))
-
-    bucketed = tagged.map_batches(add_bucket, batch_format="pyarrow")
-    l_only = [c for c in l_cols if c not in on]
-    r_only = [c for c in r_cols if c not in on]
-
-    def _restore_int_dtypes(df: pd.DataFrame) -> pd.DataFrame:
-        """The null-padded union makes pandas represent integer columns as
-        float64; restore the DECLARED Arrow integer dtype from the input
-        schemas, not per-bucket null presence.  Buckets with unmatched
-        left-join rows get the pandas nullable dtype ("Int64"), which
-        pd_to_arrow converts to the same Arrow int type as the non-null
-        buckets — every bucket emits one consistent block schema."""
-        for c in df.columns:
-            t = types.get(c)
-            if (t is not None and pa.types.is_integer(t)
-                    and df[c].dtype.kind == "f"):
-                if df[c].isna().any():
-                    # "int64" -> "Int64" (pandas nullable integer)
-                    nullable = str(t).replace("int", "Int").replace(
-                        "uInt", "UInt")
-                    df = df.assign(**{c: df[c].astype(nullable)})
-                else:
-                    df = df.assign(**{c: df[c].astype(str(t))})
-        return df
-
-    def join_bucket(g: pd.DataFrame):
-        from ..schema import pd_to_arrow
-
-        lg = g[g["__side"] == "l"]
-        rg = g[g["__side"] == "r"]
-        if how == "semi":
-            keys = rg[on].drop_duplicates()
-            out = lg[on + l_only].merge(keys, on=on, how="inner")
-        elif how == "anti":
-            keys = set(map(tuple, rg[on].itertuples(index=False)))
-            mask = [tuple(t) not in keys
-                    for t in lg[on].itertuples(index=False)]
-            out = lg[on + l_only][mask]
-        else:
-            out = lg[on + l_only].merge(
-                rg[on + r_only], on=on,
-                how=how if how in ("inner", "outer") else "left"
-            )
-        return pd_to_arrow(_restore_int_dtypes(out))
+    def join_bucket(g: pa.Table) -> pa.Table:
+        is_l = pc.equal(g.column("__side"), "l")
+        return _join_tables(g.filter(is_l).select(l_keep),
+                            g.filter(pc.invert(is_l)).select(r_keep),
+                            on, how)
 
     return bucketed.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pandas"
+        join_bucket, batch_format="pyarrow"
     )
 
 
@@ -604,23 +627,25 @@ def broadcast_join(
     on: list[str] | str,
     how: str = "inner",
 ) -> ray.data.Dataset:
-    """Small-side join: ship ``small_df`` once via ray.put, pandas-merge
-    inside map_batches.  No shuffle (SURVEY.md §2.5 mapping for KB /
-    gazetteer / query joins)."""
-    on = [on] if isinstance(on, str) else list(on)
-    ref = ray.put(small_df)
+    """Small-side join: convert ``small_df`` to Arrow once on the driver,
+    ship it via ray.put and ``_join_tables`` it onto every batch inside
+    map_batches.  No shuffle (SURVEY.md §2.5 mapping for KB / gazetteer
+    / query joins)."""
+    from ..schema import pd_to_arrow
 
-    def merge(batch: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
+    on = [on] if isinstance(on, str) else list(on)
+    ls = left.schema()
+    shared = sorted(({*ls.names} & {*small_df.columns}) - {*on}) if ls else []
+    if shared:
+        raise ValueError(f"overlapping non-key columns: {shared}; rename first")
+    ref = ray.put(pd_to_arrow(small_df))
+
+    def merge(batch: pa.Table) -> pa.Table:
         from ..state.broadcast import fetch
 
-        sm = fetch(ref)
-        # return Arrow, not pandas: pandas blocks make any downstream
-        # sort/groupby ~6x slower (measured: q02's 25-group aggregate
-        # spent 847 ms per 2,343-row pandas block in AggregateMap)
-        return pd_to_arrow(batch.merge(sm, on=on, how=how))
+        return _join_tables(batch, fetch(ref), on, how)
 
-    return left.map_batches(merge, batch_format="pandas")
+    return left.map_batches(merge, batch_format="pyarrow")
 
 
 def semi_anti_filter(
@@ -631,16 +656,15 @@ def semi_anti_filter(
 ) -> ray.data.Dataset:
     """Semi/anti join against a broadcast key set (Bloom-filter slot at
     scale) — the "already known slot" anti-join analog
-    (HeuristicSlotfillPostProcessors.java:101-134)."""
-    ref = ray.put(keys)
+    (HeuristicSlotfillPostProcessors.java:101-134).  The set ships once
+    as one Arrow array; each batch is one vectorized ``is_in``."""
+    ref = ray.put(pa.array(list(keys)))
 
     def flt(batch: pa.Table) -> pa.Table:
         from ..state.broadcast import fetch
 
-        ks = fetch(ref)
-        col = batch.column(key_col).to_pylist()
-        mask = [(v in ks) == keep_matching for v in col]
-        return batch.filter(pa.array(mask, pa.bool_()))
+        hit = pc.is_in(batch.column(key_col), value_set=fetch(ref))
+        return batch.filter(hit if keep_matching else pc.invert(hit))
 
     return left.map_batches(flt, batch_format="pyarrow")
 
@@ -858,8 +882,6 @@ def range_join(
     Column names must not overlap between the two sides."""
     from ray.data.aggregate import Max, Min
 
-    from ..schema import pd_to_arrow
-
     n_buckets = resolve_n_buckets(n_buckets, est_rows)
     l_schema = left.schema()
     r_schema = right.schema()
@@ -938,34 +960,32 @@ def range_join(
             right.map_batches(route_right, batch_format="pyarrow")
             .map_batches(align, batch_format="pyarrow"))
 
-    # every bucket casts to the DECLARED schema: the null-padded union
-    # float-ifies integer columns in mixed buckets while a one-sided
-    # bucket would keep int64 — inconsistent block schemas otherwise
     target = pa.schema([(c, types[c]) for c in all_cols])
 
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        lg = g[g["__side"] == "l"][l_cols].sort_values(
-            value_col, kind="mergesort").reset_index(drop=True)
-        rg = g[g["__side"] == "r"][r_cols].reset_index(drop=True)
-        if not len(lg) or not len(rg):
+    def join_bucket(g: pa.Table) -> pa.Table:
+        is_l = pc.equal(g.column("__side"), "l")
+        lg = g.filter(is_l).select(l_cols).sort_by(value_col)
+        rg = g.filter(pc.invert(is_l)).select(r_cols)
+        if not lg.num_rows or not rg.num_rows:
             return target.empty_table()
-        v = lg[value_col].to_numpy(dtype=np.float64)
-        s = rg[start_col].to_numpy(dtype=np.float64)
-        e = rg[end_col].to_numpy(dtype=np.float64)
-        a = np.searchsorted(v, s, side="left")
-        b = np.searchsorted(v, e, side="right")
+
+        def f64(t: pa.Table, c: str) -> np.ndarray:
+            return t.column(c).to_numpy().astype(np.float64)
+
+        v = f64(lg, value_col)
+        a = np.searchsorted(v, f64(rg, start_col), side="left")
+        b = np.searchsorted(v, f64(rg, end_col), side="right")
         reps = np.maximum(b - a, 0)
-        r_idx = np.repeat(np.arange(len(rg)), reps)
+        r_idx = np.repeat(np.arange(rg.num_rows), reps)
         off = np.concatenate([[0], np.cumsum(reps)[:-1]])
         l_idx = (np.arange(int(reps.sum())) - np.repeat(off, reps)
                  + np.repeat(a, reps))
-        out = pd.concat([lg.iloc[l_idx].reset_index(drop=True),
-                         rg.iloc[r_idx].reset_index(drop=True)], axis=1)
-        return pd_to_arrow(out).cast(target)
+        return pa.table({**{c: lg.column(c).take(l_idx) for c in l_cols},
+                         **{c: rg.column(c).take(r_idx) for c in r_cols}})
 
     return tagged.groupby("__bucket").map_groups(
-        lambda g: join_bucket(g.drop(columns="__bucket")),
-        batch_format="pandas")
+        lambda g: join_bucket(g.drop_columns(["__bucket"])),
+        batch_format="pyarrow")
 
 
 #: SCD2 open-interval sentinel: 9999-12-31T00:00:00Z in microseconds —
@@ -1362,8 +1382,6 @@ def smb_join(left_dir: str, right_dir: str, on: str,
     """
     import pyarrow.parquet as pq
 
-    from ..schema import pd_to_arrow
-
     def first_schema(base: str) -> pa.Schema:
         import glob
 
@@ -1378,7 +1396,6 @@ def smb_join(left_dir: str, right_dir: str, on: str,
     if overlap:
         raise ValueError(f"non-key column collision: {sorted(overlap)}")
     out_schema = pa.schema(list(lsch) + r_only)
-    out_names = [f.name for f in out_schema]
 
     def join_bucket(batch: pa.Table) -> pa.Table:
         parts = []
@@ -1388,11 +1405,7 @@ def smb_join(left_dir: str, right_dir: str, on: str,
             if lt is None or rt is None or not lt.num_rows \
                     or not rt.num_rows:
                 continue
-            merged = lt.to_pandas().merge(rt.to_pandas(), on=on,
-                                          how="inner")
-            if len(merged):
-                parts.append(pd_to_arrow(merged)
-                             .select(out_names).cast(out_schema))
+            parts.append(_join_tables(lt, rt, [on], "inner"))
         if not parts:
             return out_schema.empty_table()
         return pa.concat_tables(parts)

@@ -1157,17 +1157,14 @@ def sssp_weighted(
             cand = hash_join(edges, fr, on="src", how="inner",
                              est_rows=est_rows).map_batches(
                 lambda t: pa.table({
-                    # hash_join's null-padded union may promote ints to
-                    # float64; values stay exact, so a SAFE cast back to
-                    # int64 restores the dtype or errors loudly
-                    "node": pc.cast(t.column("dst"), pa.int64(),
-                                    safe=True),
+                    # int64, the types the broadcast branch emits
+                    "node": pc.cast(t.column("dst"), pa.int64()),
                     "cost": pc.cast(
                         pc.max_element_wise(t.column("fcost"),
                                             t.column("w"))
                         if combine == "max"
                         else pc.add(t.column("fcost"), t.column("w")),
-                        pa.int64(), safe=True),
+                        pa.int64()),
                 }), batch_format="pyarrow")
 
         cand = cand.groupby("node").aggregate(
@@ -1464,6 +1461,8 @@ def luby_mis(
     for r in range(max_rounds):
         def pri(batch: pa.Table, _r=r) -> pa.Table:
             nodes = batch.column("node").to_pylist()
+            # >> 11: the DuckDB ``md5_number_upper >> 11`` identity the
+            # oracle replays bit-for-bit (q151), not a join workaround
             p = np.array([stable_u64(f"mis\x00{_r}\x00{v}") >> 11
                           for v in nodes], dtype=np.int64)
             return pa.table({"node": batch.column("node"),
@@ -1485,11 +1484,7 @@ def luby_mis(
         def winners(batch: pa.Table, _r=r) -> pa.Table:
             import pyarrow.compute as pc
 
-            # both columns may come back float64 from the join's
-            # null-padded union; values are < 2^53 by construction, so
-            # the int64 restore is exact
-            p = pc.cast(batch.column("p"), pa.int64(), safe=False)
-            mp = pc.cast(batch.column("mp"), pa.int64(), safe=False)
+            p, mp = batch.column("p"), batch.column("mp")
             take = pc.or_kleene(pc.is_null(mp), pc.greater(p, mp))
             won = batch.filter(pc.fill_null(take, False))
             return pa.table({
@@ -1726,12 +1721,8 @@ def hits(
     def fill0(batch: pa.Table) -> pa.Table:
         return pa.table({
             "node": pc.cast(batch.column("node"), pa.int64()),
-            # left-join null-pad may surface as float64; q ≤ scale so the
-            # float64 round-trip is exact and the safe cast proves it
-            "auth_q": pc.cast(pc.fill_null(batch.column("auth_q"), 0),
-                              pa.int64()),
-            "hub_q": pc.cast(pc.fill_null(batch.column("hub_q"), 0),
-                             pa.int64()),
+            "auth_q": pc.fill_null(batch.column("auth_q"), 0),
+            "hub_q": pc.fill_null(batch.column("hub_q"), 0),
         })
 
     return out.map_batches(fill0, batch_format="pyarrow").sort("node")

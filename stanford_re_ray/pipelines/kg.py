@@ -464,8 +464,6 @@ def edges_stage_join(
                          how="left")
 
     def resolve_dst(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         dst = [
             s if s is not None else canon.entity_id(n, t)
             for s, n, t in zip(batch.column("dst_id").to_pylist(),
@@ -479,10 +477,7 @@ def edges_stage_join(
                 "dst_id": pa.array(dst, pa.string()),
                 "score": batch.column("score"),
                 "doc_id": batch.column("doc_id"),
-                # the null-padded union inside hash_join promotes sent_idx
-                # to float; restore the triples dtype
-                "sent_idx": pc.cast(batch.column("sent_idx"), pa.int32(),
-                                    safe=False),
+                "sent_idx": batch.column("sent_idx"),
             }
         )
 

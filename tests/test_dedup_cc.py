@@ -46,6 +46,22 @@ def test_minhash_finds_planted_near_dups(ray_session):
     assert jaccard(base, near) > 0.5
 
 
+def test_ngram_broadcast_verify_empty_doc_set(ray_session, monkeypatch):
+    """The broadcast verify must drop every candidate pair when the
+    pruned doc set it receives is empty, not index an empty id array."""
+    import ray.data as rd
+
+    from stanford_re_ray.functions import relational
+    from stanford_re_ray.functions.dedup import ngram_jaccard_pairs
+
+    text = "the same sentence about shuffles repeated in two documents"
+    docs = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                                   "text": [text, text]}))
+    monkeypatch.setattr(relational, "_bloom_prune_probe",
+                        lambda left, right, on: left.limit(0))
+    assert ngram_jaccard_pairs(docs, threshold=0.5).count() == 0
+
+
 def test_simhash_neardup_pairs(ray_session):
     import ray.data as rd
 

@@ -9,7 +9,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 # --- simhash: vectorized batch kernel ≡ scalar definition ------------------
 
@@ -108,45 +108,118 @@ def test_grouped_topk_matches_pandas(ray_session, rows):
     assert list(got["id"]) == list(ref["id"])
 
 
-# --- hash_join ≡ pandas merge ----------------------------------------------
+# --- hash_join ≡ pyarrow.Table.join ----------------------------------------
+
+_KEY = st.one_of(st.none(), st.integers(0, 4),
+                 st.sampled_from([2**60 + 1, 2**60 + 3]))
+_BIG = st.integers(0, 2**62)
+_ACERO = {"inner": "inner", "left": "left outer", "outer": "full outer",
+          "semi": "left semi", "anti": "left anti"}
+
+
+def _sorted_rows(tbl: pa.Table) -> pa.Table:
+    return tbl.sort_by([(c, "ascending") for c in tbl.column_names])
+
 
 @settings(max_examples=8, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)),
-                min_size=0, max_size=20),
-       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)),
-                min_size=0, max_size=20),
-       st.sampled_from(["inner", "left", "semi", "anti"]))
-def test_hash_join_matches_pandas(ray_session, lrows, rrows, how):
+@example(lrows=[(2**60 + 1, 5), (None, 6)], rrows=[(2**60 + 1, 7)],
+         how="inner", two_keys=False)  # a null beside a key ≥ 2^53
+@example(lrows=[(1, 5), (None, 6)], rrows=[(1, 7)], how="inner",
+         two_keys=True)                # a null in a multi-column key
+@given(st.lists(st.tuples(_KEY, _BIG), min_size=0, max_size=20),
+       st.lists(st.tuples(_KEY, _BIG), min_size=0, max_size=20),
+       st.sampled_from(["inner", "left", "outer", "semi", "anti"]),
+       st.booleans())
+def test_hash_join_matches_pandas(ray_session, lrows, rrows, how, two_keys):
+    """Exact agreement with Arrow's own join: int64 payloads up to 2^62
+    keep every bit and their declared type, and null keys never match
+    (left/outer/anti keep those rows) — on one int key and on two."""
     import ray.data as rd
 
     from stanford_re_ray.functions.relational import hash_join
+    from stanford_re_ray.pipelines.kg import dataset_to_table
 
-    ldf = pd.DataFrame(lrows, columns=["k", "lv"])
-    rdf = pd.DataFrame(rrows, columns=["k", "rv"])
-    left = rd.from_arrow(pa.Table.from_pandas(ldf, preserve_index=False))
-    right = rd.from_arrow(pa.Table.from_pandas(rdf, preserve_index=False))
-    got = hash_join(left, right, on="k", how=how).to_pandas()
-    if how == "inner":
-        ref = ldf.merge(rdf, on="k", how="inner")
-    elif how == "left":
-        ref = ldf.merge(rdf, on="k", how="left")
-    elif how == "semi":
-        ref = ldf[ldf["k"].isin(set(rdf["k"]))]
-    else:
-        ref = ldf[~ldf["k"].isin(set(rdf["k"]))]
+    on = ["k", "k2"] if two_keys else ["k"]
 
-    def canon(df):
-        df = df.copy()
-        for c in df.columns:
-            df[c] = df[c].astype("float64")
-        cols = sorted(df.columns)
-        return (df[cols].sort_values(cols, kind="mergesort")
-                .reset_index(drop=True))
+    def table(rows, v):
+        cols = {"k": pa.array([r[0] for r in rows], pa.int64())}
+        if two_keys:
+            cols["k2"] = pa.array([0] * len(rows), pa.int64())
+        cols[v] = pa.array([r[1] for r in rows], pa.int64())
+        return pa.table(cols)
 
-    g, r = canon(got), canon(ref[got.columns] if len(got.columns) else ref)
-    assert len(g) == len(r)
-    if len(g):
-        pd.testing.assert_frame_equal(g, r)
+    left, right = table(lrows, "lv"), table(rrows, "rv")
+    got = dataset_to_table(hash_join(rd.from_arrow(left),
+                                     rd.from_arrow(right), on=on, how=how))
+    ref = left.join(right, keys=on, join_type=_ACERO[how],
+                    use_threads=False)
+    if got.num_columns == 0:      # no bucket emitted a block
+        assert ref.num_rows == 0
+        return
+    assert got.schema == ref.schema
+    assert _sorted_rows(got).equals(_sorted_rows(ref))
+
+
+def test_broadcast_join_keeps_int64_payloads(ray_session):
+    """broadcast_join must carry int64 payloads ≥ 2^53 bit-exact with
+    their declared dtypes, on both sides and for unmatched left rows."""
+    import ray.data as rd
+
+    from stanford_re_ray.functions.relational import broadcast_join
+    from stanford_re_ray.pipelines.kg import dataset_to_table
+
+    big = 2**60
+    left = pa.table({"k": pa.array([1, 2, 3, None], pa.int64()),
+                     "lv": pa.array([big + 1, big + 2, big + 3, big + 4],
+                                    pa.int64())})
+    small = pd.DataFrame({"k": [1, 2, 2], "rv": [big + 7, big + 9, 5]})
+    for how, want in (
+            ("inner", [(1, big + 1, big + 7), (2, big + 2, big + 9),
+                       (2, big + 2, 5)]),
+            ("left", [(1, big + 1, big + 7), (2, big + 2, big + 9),
+                      (2, big + 2, 5), (3, big + 3, None),
+                      (None, big + 4, None)])):
+        got = dataset_to_table(
+            broadcast_join(rd.from_arrow(left), small, on="k", how=how))
+        assert got.schema == pa.schema([("k", pa.int64()),
+                                        ("lv", pa.int64()),
+                                        ("rv", pa.int64())])
+        assert list(zip(*(got.column(c).to_pylist()
+                          for c in got.column_names))) == want
+    # a shared non-key column would silently overwrite the left one
+    with pytest.raises(ValueError, match="overlapping"):
+        broadcast_join(rd.from_arrow(left), small.rename(columns={"rv": "lv"}),
+                       on="k")
+
+
+def test_smb_join_keeps_int64_payloads(ray_session, tmp_path):
+    """smb_join must carry int64 payloads ≥ 2^53 bit-exact — a null
+    beside them too — with the layouts' declared dtypes (int32 stays
+    int32)."""
+    import ray.data as rd
+
+    from stanford_re_ray.functions.relational import smb_join, smb_write
+    from stanford_re_ray.pipelines.kg import dataset_to_table
+
+    big = 2**60
+    left = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
+                     "lv": pa.array([big + 1, big + 2, big + 3],
+                                    pa.int64())})
+    right = pa.table({"k": pa.array([1, 3, 3, 4], pa.int64()),
+                      "rv": pa.array([big + 11, None, big + 15, 0],
+                                     pa.int64()),
+                      "r32": pa.array([7, 8, 9, 10], pa.int32())})
+    smb_write(rd.from_arrow(left), f"{tmp_path}/l", "k", n_buckets=4)
+    smb_write(rd.from_arrow(right), f"{tmp_path}/r", "k", n_buckets=4)
+    got = dataset_to_table(
+        smb_join(f"{tmp_path}/l", f"{tmp_path}/r", on="k", n_buckets=4))
+    assert got.schema == pa.schema([("k", pa.int64()), ("lv", pa.int64()),
+                                    ("rv", pa.int64()),
+                                    ("r32", pa.int32())])
+    assert got.sort_by("r32").to_pylist() == [
+        {"k": 1, "lv": big + 1, "rv": big + 11, "r32": 7},
+        {"k": 3, "lv": big + 3, "rv": None, "r32": 8},
+        {"k": 3, "lv": big + 3, "rv": big + 15, "r32": 9}]
 
 
 # --- str_lists ≡ to_pylist on arbitrary (incl. sliced) list columns --------
@@ -262,10 +335,14 @@ def test_range_join_matches_reference(values, intervals):
 
     from stanford_re_ray.functions.relational import range_join
 
-    left = pa.table({"lid": pa.array(range(len(values)), pa.int64()),
+    # ids ≥ 2^53 ride as payloads: they must come back bit-exact
+    lbase, rbase = 2**60, 2**61
+    left = pa.table({"lid": pa.array([lbase + i for i in range(len(values))],
+                                     pa.int64()),
                      "v": pa.array(values, pa.float64())})
     right = pa.table({
-        "rid": pa.array(range(len(intervals)), pa.int64()),
+        "rid": pa.array([rbase + i for i in range(len(intervals))],
+                        pa.int64()),
         "lo": pa.array([a for a, _ in intervals], pa.float64()),
         "hi": pa.array([a + w for a, w in intervals], pa.float64()),
     })
@@ -280,7 +357,7 @@ def test_range_join_matches_reference(values, intervals):
                       tbl.column("rid").to_pylist()))
            if tbl.num_rows else [])
     exp = sorted(
-        (li, ri)
+        (lbase + li, rbase + ri)
         for li, v in enumerate(values)
         for ri, (a, w) in enumerate(intervals)
         if a <= v <= a + w

@@ -404,6 +404,25 @@ def test_detect_hot_keys_and_auto_salt(ray_session):
                               salt_keys={("hot",): k}))
     assert plain.equals(explicit)
 
+    # the routing itself, on a tagged union batch as hash_join builds it:
+    # right-only ``rv`` is null on every left row, and must not collapse
+    # the spread into one sub-bucket
+    from stanford_re_ray.functions.relational import _route_buckets
+
+    tagged = pa.table({
+        "k": pa.array(hot + ["hot"], pa.string()),
+        "lv": pa.array(list(range(n // 2)) + [None], pa.int64()),
+        "rv": pa.array([None] * (n // 2) + [1], pa.int64()),
+        "__side": pa.array(["l"] * (n // 2) + ["r"], pa.string()),
+    })
+    routed = _route_buckets(tagged, ["k"], 64, {("hot",): k}, k,
+                            ["k", "lv"]).to_pandas()
+    side = routed.groupby("__side")["__bucket"]
+    l_sizes = side.get_group("l").value_counts()
+    assert len(l_sizes) == k              # every sub-bucket gets left rows
+    assert l_sizes.max() < 2 * (n // 2) / k
+    assert set(side.get_group("r")) == set(l_sizes.index)  # replicated
+
 
 def test_resolve_n_buckets():
     from stanford_re_ray.functions.relational import (MAX_BUCKETS,
