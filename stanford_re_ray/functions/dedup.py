@@ -862,8 +862,9 @@ def embedding_neardup_pairs(
 
 # --- end-to-end corpus dedup (the composed pipeline) -----------------------
 
-#: above this many duplicate ids the keep-set stops being broadcastable
-#: and corpus dedup falls back to the distributed hash anti join
+#: above this many verified pairs (or duplicate ids) corpus dedup stops
+#: collecting them to the driver: components switch to distributed
+#: pointer doubling and the keep-set to the distributed hash anti join
 BROADCAST_LOSER_LIMIT = 5_000_000
 
 
@@ -880,22 +881,30 @@ def dedup_corpus(
 
     Composition of the scale-shaped pieces above — document payloads
     never ride a shuffle (LSH moves (doc_id, band-hash) rows; verification
-    joins texts back per candidate pair; components propagate labels).
-    The loser set (clustered non-representatives, ≪ corpus at real dup
-    rates) applies as a BROADCAST anti filter up to
-    ``BROADCAST_LOSER_LIMIT`` ids, so the text column stays put; beyond
-    that the distributed hash anti join takes over (only then do payloads
-    move, once, key-partitioned).  Returns (doc_id, text) of
-    survivors."""
+    joins texts back per candidate pair).  Up to ``BROADCAST_LOSER_LIMIT``
+    verified pairs, components run on the driver (``_components``) and
+    the loser ids (clustered non-representatives) go straight from that
+    table into a BROADCAST anti filter, so the text column stays put.
+    Above it, components run distributed and the losers materialize as a
+    dataset: still broadcast up to the same limit, beyond it the
+    distributed hash anti join takes over (only then do payloads move,
+    once, key-partitioned).  Returns (doc_id, text) of survivors."""
+    import pyarrow.compute as pc
+
     from .relational import hash_join, semi_anti_filter
 
     pairs = ngram_jaccard_pairs(docs, threshold=threshold, k=k_shingle)
-    comp = connected_components(pairs, max_rounds=max_rounds)
+    comp = _components(pairs, "doc_a", "doc_b", max_rounds)
+    if isinstance(comp, pa.Table):
+        losers = comp.filter(pc.not_equal(
+            comp.column("doc_id"), comp.column("component"))).column("doc_id")
+        if len(losers) == 0:
+            return docs
+        return semi_anti_filter(docs, losers.combine_chunks(), "doc_id",
+                                keep_matching=False)
 
     def drop_reps(batch: pa.Table) -> pa.Table:
         # clustered docs that are NOT their cluster's representative
-        import pyarrow.compute as pc
-
         keep = pc.not_equal(batch.column("doc_id"),
                             batch.column("component"))
         return batch.filter(keep).select(["doc_id"])
@@ -906,12 +915,10 @@ def dedup_corpus(
     if n_losers == 0:
         return docs
     if n_losers <= BROADCAST_LOSER_LIMIT:
-        loser_ids = {
-            d
+        loser_ids = pa.concat_arrays([
+            b.column("doc_id").combine_chunks()
             for b in losers.iter_batches(batch_size=65536,
-                                         batch_format="pyarrow")
-            for d in b.column("doc_id").to_pylist()
-        }
+                                         batch_format="pyarrow")])
         return semi_anti_filter(docs, loser_ids, "doc_id",
                                 keep_matching=False)
     return hash_join(docs, losers, on="doc_id", how="anti",
@@ -926,148 +933,82 @@ def connected_components(
     b_col: str = "doc_b",
     max_rounds: int = 10,
 ) -> ray.data.Dataset:
-    """Cluster verified near-dup pairs into components by iterative
-    min-label propagation: each round, every node's current label flows to
-    its neighbors via a hash join of the edge table against the label
-    table, and each node keeps the minimum — until no label changes.
-    Plain one-hop propagation (no pointer doubling), so convergence takes
-    O(diameter) rounds; near-dup clusters are shallow (diameter is
-    typically 1-3), so ``max_rounds=10`` covers them.  If the loop
-    exhausts while labels are still changing (a chain-shaped component
-    with diameter > max_rounds), a RuntimeWarning is raised and the
-    returned labels may split one true component into several.
+    """Cluster verified near-dup pairs into exact connected components.
 
-    Distributed shape: labels live in a dataset (node, label); each round
-    is hash_join(edges, labels, on=node) → groupby-min, and convergence is
-    a distributed Sum of changed flags (only the scalar count reaches the
-    driver) — no driver-side union-find or label-dict broadcast, so neither
-    the edge set nor the label table need fit on one machine.
-    Returns (doc_id, component) with component = min doc id in the
-    component — a deterministic representative.
-    """
+    The pairs are materialized and counted first, and the count picks
+    the plan (the ``BROADCAST_LOSER_LIMIT`` gate corpus dedup already
+    collects that many ids under):
+
+    - at most that many pairs: the two id columns come to the driver and
+      a vectorized union-find labels them (``_union_find``);
+    - more: ``graph_ops.cc_pointer_doubling`` runs to convergence, with
+      labels as a dataset and a distributed Sum of changed flags per
+      round, so neither the edges nor the labels need fit on one
+      machine.  Labels still changing after ``max_rounds`` rounds
+      (O(log diameter) are needed) raise ``RuntimeError``.
+
+    Either plan returns the exact answer or raises.  A pair (a, a) joins
+    nothing.  Returns (doc_id int64, component int64), component = min
+    doc id in the component — a deterministic representative."""
+    comp = _components(pairs, a_col, b_col, max_rounds)
+    if isinstance(comp, pa.Table):
+        return ray.data.from_arrow(comp)
+    return comp
+
+
+def _components(
+    pairs: ray.data.Dataset, a_col: str, b_col: str, max_rounds: int,
+) -> pa.Table | ray.data.Dataset:
+    """``connected_components``' plans: the (doc_id, component) table
+    from the driver at most ``BROADCAST_LOSER_LIMIT`` pairs, else the
+    distributed pointer-doubling dataset."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Min
+    from ..pipelines.graph_ops import cc_pointer_doubling
 
-    from .relational import hash_join
+    def as_edges(batch: pa.Table) -> pa.Table:
+        a = pc.cast(batch.column(a_col), pa.int64())
+        b = pc.cast(batch.column(b_col), pa.int64())
+        return pa.table({"src": a, "dst": b}).filter(pc.not_equal(a, b))
 
-    def explode(batch: pa.Table) -> pa.Table:
-        # undirected: emit both directions + self edges
-        a = batch.column(a_col)
-        b = batch.column(b_col)
-        return pa.table({
-            "node": pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
-            "nbr": pa.concat_arrays([b.combine_chunks(), a.combine_chunks()]),
-        })
+    edges = pairs.map_batches(as_edges, batch_format="pyarrow").materialize()
+    if edges.count() > BROADCAST_LOSER_LIMIT:
+        return cc_pointer_doubling(edges, n_rounds=None,
+                                   max_rounds=max_rounds).map_batches(
+            lambda t: pa.table({"doc_id": t.column("node"),
+                                "component": t.column("component")}),
+            batch_format="pyarrow")
+    # upstream operators may leave empty, column-less blocks
+    blocks = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
+    a, b = (np.concatenate([np.zeros(0, np.int64)]
+                           + [t.column(c).to_numpy() for t in blocks])
+            for c in ("src", "dst"))
+    return _union_find(a, b)
 
-    _I64_MAX = np.iinfo(np.int64).max
 
-    edges = pairs.map_batches(explode, batch_format="pyarrow").materialize()
-    n_edges = edges.count()    # metadata count on the materialized dataset
-    if n_edges == 0:
-        return ray.data.from_arrow(pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "component": pa.array([], pa.int64())}))
-    # LSH/verify upstreams emit hundreds of tiny blocks; Ray's sort-based
-    # shuffles scale with BLOCK COUNT, not rows (the kcore/bfs iterative
-    # gotcha), so bound blocks to the edge count before looping — without
-    # this, one round over a 255-pair graph spent ~50 s in sort metadata.
-    n_blocks = max(4, n_edges // 250_000 + 1)
-    edges = edges.repartition(n_blocks).materialize()
-    # initial label = min(own id, min neighbor id)
-    labels = edges.groupby("node").aggregate(Min("nbr", alias_name="label"))
-
-    def own_min(batch: pa.Table) -> pa.Table:
-        lab = pc.min_element_wise(batch.column("node"), batch.column("label"))
-        return pa.table({"node": batch.column("node"), "label": lab})
-
-    labels = (labels.map_batches(own_min, batch_format="pyarrow")
-              .repartition(n_blocks).materialize())
-    n_changed = 0
-    for _ in range(max_rounds):
-        # propagate: node's label flows to each neighbor (edges ⋈ labels);
-        # the convergence check rides the SAME aggregation — label rows
-        # carry old=label, message rows old=+inf, so Min(old) recovers
-        # each node's previous label with no second join per round
-        msgs = hash_join(edges, labels, on="node", est_rows=n_edges)
-
-        def to_nbr(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table({"node": batch.column("nbr"),
-                             "label": batch.column("label"),
-                             "old": pa.array(
-                                 np.full(n, _I64_MAX, np.int64))})
-
-        prop = msgs.map_batches(to_nbr, batch_format="pyarrow")
-
-        def with_old(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": batch.column("node"),
-                             "label": batch.column("label"),
-                             "old": batch.column("label")})
-
-        def min_combine(batch: pa.Table) -> pa.Table:
-            # map-side combine before the Min shuffle: Ray's sort-based
-            # groupby ships every row, and a node receives one message
-            # per incident edge — per-batch min-per-node shrinks the
-            # exchange to distinct nodes per batch (min is associative,
-            # np.unique order deterministic)
-            n = batch.column("node").to_numpy(zero_copy_only=False)
-            lab = batch.column("label").to_numpy(zero_copy_only=False)
-            old = batch.column("old").to_numpy(zero_copy_only=False)
-            uniq, inv = np.unique(n, return_inverse=True)
-            best = np.full(len(uniq), _I64_MAX, np.int64)
-            np.minimum.at(best, inv, lab.astype(np.int64))
-            bold = np.full(len(uniq), _I64_MAX, np.int64)
-            np.minimum.at(bold, inv, old.astype(np.int64))
-            return pa.table({"node": pa.array(uniq.astype(np.int64)),
-                             "label": pa.array(best),
-                             "old": pa.array(bold)})
-
-        merged = (
-            labels.map_batches(with_old, batch_format="pyarrow")
-            .union(prop)
-            .map_batches(min_combine, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"),
-                       Min("old", alias_name="old"))
-            .repartition(n_blocks)
-            .materialize()
-        )
-
-        def drop_old(batch: pa.Table) -> pa.Table:
-            return batch.drop_columns(["old"])
-
-        def flag(batch: pa.Table) -> pa.Table:
-            ch = pc.cast(
-                pc.not_equal(batch.column("label"), batch.column("old")),
-                pa.int64(),
-            )
-            return pa.table({"changed": ch})
-
-        n_changed = merged.map_batches(flag, batch_format="pyarrow") \
-            .sum("changed")
-        labels = merged.map_batches(drop_old,
-                                    batch_format="pyarrow").materialize()
-        if not n_changed:
+def _union_find(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Exact components of the edges ``(a[i], b[i])`` on the driver,
+    vectorized hook-and-jump: label = index into the sorted distinct ids;
+    each pass hooks every root onto the smallest root it shares an edge
+    with (``np.minimum.at``), then jumps pointers until every label is a
+    root.  A pass that moves no label leaves every edge inside one tree,
+    and each root is its tree's smallest index, so component = min id."""
+    ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ia, ib = inv[:len(a)], inv[len(a):]
+    lab = np.arange(len(ids))
+    while True:
+        la, lb = lab[ia], lab[ib]
+        lo = np.minimum(la, lb)
+        new = lab.copy()
+        np.minimum.at(new, la, lo)
+        np.minimum.at(new, lb, lo)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, lab):
             break
-    else:
-        if n_changed:
-            import warnings
-
-            warnings.warn(
-                f"connected_components: {n_changed} labels still changing "
-                f"after max_rounds={max_rounds}; a component with diameter "
-                f"> max_rounds is returned split — raise max_rounds",
-                RuntimeWarning,
-            )
-
-    def fmt(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch.column("node"),
-            "component": batch.column("label"),
-        })
-
-    return labels.map_batches(fmt, batch_format="pyarrow")
+        lab = new
+    return pa.table({"doc_id": pa.array(ids, pa.int64()),
+                     "component": pa.array(ids[lab], pa.int64())})
 
 
 def simhash_neardup_pairs(

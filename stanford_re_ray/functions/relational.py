@@ -650,7 +650,7 @@ def broadcast_join(
 
 def semi_anti_filter(
     left: ray.data.Dataset,
-    keys: set,
+    keys: set | pa.Array,
     key_col: str,
     keep_matching: bool,
 ) -> ray.data.Dataset:
@@ -658,7 +658,8 @@ def semi_anti_filter(
     scale) — the "already known slot" anti-join analog
     (HeuristicSlotfillPostProcessors.java:101-134).  The set ships once
     as one Arrow array; each batch is one vectorized ``is_in``."""
-    ref = ray.put(pa.array(list(keys)))
+    ref = ray.put(keys if isinstance(keys, pa.Array)
+                  else pa.array(list(keys)))
 
     def flt(batch: pa.Table) -> pa.Table:
         from ..state.broadcast import fetch

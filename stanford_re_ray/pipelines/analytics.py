@@ -346,13 +346,13 @@ def q66_personalized_pagerank(sf_dir: str, n_iter: int = 3) -> pa.Table:
 
 
 def q67_connected_components(sf_dir: str) -> pa.Table:
-    """Distributed connected components
-    (``functions.dedup.connected_components`` — the same join-based
-    min-label propagation that clusters verified near-dup pairs inside
-    ``dedup_corpus``) over a SPARSE deterministic pair graph (every
-    211th event links two of 1,000 nodes), so multiple non-trivial
-    components exist.  Oracle: recursive-CTE transitive closure +
-    MIN(label)."""
+    """Connected components (``functions.dedup.connected_components``,
+    the same exact CC that clusters verified near-dup pairs inside
+    ``dedup_corpus``: driver union-find under its broadcast gate,
+    distributed pointer doubling above it) over a SPARSE deterministic
+    pair graph (every 211th event links two of 1,000 nodes), so
+    multiple non-trivial components exist.  Oracle: recursive-CTE
+    transitive closure + MIN(label)."""
     from ..functions.dedup import connected_components
 
     ds = _read(sf_dir, "events", ["event_id", "props"])
@@ -5576,12 +5576,10 @@ def q177_split_assignment(sf_dir: str) -> pa.Table:
 def q178_er_clusters(sf_dir: str) -> pa.Table:
     """End-to-end entity resolution: deletion-neighborhood blocking +
     edit-distance-1 verify (``dedup.edit1_pairs``, exact at distance 1)
-    -> distributed min-label connected components
-    (``dedup.connected_components`` — labels are a dataset, convergence
-    is a distributed flag sum, string node ids compare lexicographically
-    so the representative is the MIN member name).  Output: every
-    resolved entity cluster of >= 2 names with its canonical
-    representative.  Oracle: quadratic levenshtein pairs + a recursive
+    -> exact connected components (``dedup.connected_components``) over
+    int64 ids hashed from the names.  Output: every resolved entity
+    cluster of >= 2 names with its canonical representative, the MIN
+    member name.  Oracle: quadratic levenshtein pairs + a recursive
     transitive-closure CTE — exact because blocking has no false
     negatives at distance 1 and CC runs to fixpoint."""
     from ..functions.dedup import connected_components, edit1_pairs
@@ -5766,15 +5764,16 @@ def q181_merge_upsert(sf_dir: str) -> pa.Table:
                        est_rows=_row_count(sf_dir, "orders"))
 
     def partial(batch: pa.Table, _m=M) -> pa.Table:
-        df = batch.to_pandas()
-        has_ch = df["is_del"].notna()
-        keep = (has_ch & ~df["is_del"].fillna(False).astype(bool)) | \
-               (~has_ch & df["base_cents"].notna())
-        df = df[keep]
-        cents = np.where(df["is_del"].notna(),
-                         df["new_cents"].fillna(0),
-                         df["base_cents"].fillna(0)).astype(np.int64)
-        keys = df["ckey"].to_numpy(np.int64)
+        # a change row wins over the base row; a deleting change drops it
+        is_del = pc.cast(batch.column("is_del"), pa.bool_())
+        has_ch = pc.is_valid(is_del)
+        keep = pc.if_else(has_ch, pc.invert(is_del),
+                          pc.is_valid(batch.column("base_cents")))
+        cents = pc.fill_null(pc.cast(pc.if_else(
+            has_ch, batch.column("new_cents"), batch.column("base_cents")),
+            pa.int64()), 0).filter(keep).to_numpy()
+        keys = pc.cast(batch.column("ckey"), pa.int64()).filter(keep) \
+            .to_numpy()
         s = 0
         for k, c in zip(keys.tolist(), cents.tolist()):
             s += stable_u64(f"m\x00{k}\x00{c}") >> 11
@@ -8451,8 +8450,8 @@ def q236_degree_assortativity(sf_dir: str) -> pa.Table:
 
 def q237_cc_pointer_doubling(sf_dir: str, n_rounds: int = 4) -> pa.Table:
     """Connected components by hash-to-min with pointer doubling
-    (``graph_ops.cc_pointer_doubling``) — the O(log n)-round CC used
-    when component diameters outgrow plain propagation (q67's shape) —
+    (``graph_ops.cc_pointer_doubling``) — the O(log n)-round CC that
+    ``dedup.connected_components`` runs above its broadcast gate —
     over a sparse scale-adaptive event graph (n_nodes = n_events // 5,
     every 11th event an edge → many nontrivial components plus
     chains).  Round-synchronous: the unrolled SQL twin replays both

@@ -37,6 +37,13 @@ INVERSE_PAIRS = (
 _INVERSE = dict(INVERSE_PAIRS)
 
 
+def _blocks(n: int) -> int:
+    """Block count for a table of ~``n`` rows that iterative rounds
+    re-read: Ray's sort-based shuffles pay per BLOCK, not per row, so a
+    few blocks at small ``n`` and one more per 250k rows at scale."""
+    return max(4, n // 250_000 + 1)
+
+
 def _flip(batch: pa.Table, pred_map: dict[str, str]) -> pa.Table:
     import pyarrow.compute as pc
 
@@ -689,7 +696,7 @@ def triangle_counts(
                         batch_format="pyarrow")
            .materialize())
     n_und = und.count()
-    und = und.repartition(max(4, n_und // 250_000 + 1)).materialize()
+    und = und.repartition(_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
     return _triangles_from_und(und, est_rows)
@@ -833,7 +840,7 @@ def kcore(
             # per-round task count — not the data — dominates wall time
             # (measured: round 5 had 729 blocks for 17 rows).  Bound
             # blocks to the surviving edge count before snapshotting.
-            n_blocks = max(4, (est_rows or und.count()) // 250_000 + 1)
+            n_blocks = _blocks(est_rows or und.count())
             und = stripped.repartition(n_blocks).materialize()
     else:
         low = (degrees(und).map_batches(only_low, batch_format="pyarrow")
@@ -975,7 +982,7 @@ def bfs_distances(
             return batch.append_column(
                 "dist", pa.array(np.full(batch.num_rows, _d, np.int64)))
 
-        n_blocks = max(4, (est_rows or n_seen) // 250_000 + 1)
+        n_blocks = _blocks(est_rows or n_seen)
         frontier = (fresh.map_batches(stamp, batch_format="pyarrow")
                     .repartition(n_blocks).materialize())
         if frontier.count() == 0:
@@ -1010,7 +1017,7 @@ def graph_structure_stats(edges: ray.data.Dataset,
     # reversed-edge semi join) — materialize once, in few blocks, or the
     # whole upstream derivation re-executes per consumer and its tiny
     # output blocks poison every downstream shuffle (CLAUDE.md gotcha)
-    n_blocks = max(4, (est_rows or 0) // 250_000 + 1)
+    n_blocks = _blocks(est_rows or 0)
     edges = edges.repartition(n_blocks).materialize()
 
     def endpoints(batch: pa.Table) -> pa.Table:
@@ -1111,7 +1118,7 @@ def sssp_weighted(
     from ..functions.relational import hash_join
     from ..state import broadcast
 
-    n_blocks = max(4, (est_rows or 0) // 250_000 + 1)
+    n_blocks = _blocks(est_rows or 0)
     edges = edges.repartition(n_blocks).materialize()
 
     if combine not in ("plus", "max"):
@@ -1259,7 +1266,7 @@ def clustering_coefficients(
                         batch_format="pyarrow")
            .materialize())
     n_und = und.count()
-    und = und.repartition(max(4, n_und // 250_000 + 1)).materialize()
+    und = und.repartition(_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
 
@@ -1398,7 +1405,7 @@ def temporal_reachability(
             cand.map_batches(min_combine, batch_format="pyarrow"))
             .groupby("node").aggregate(Min("arrival",
                                            alias_name="arrival"))
-            .repartition(4).materialize())
+            .repartition(_blocks(est_rows)).materialize())
     return labels
 
 
@@ -1448,14 +1455,15 @@ def luby_mis(
            .map_batches(lambda t: t.drop_columns(["count()"]),
                         batch_format="pyarrow").materialize())
     n_adj = adj.count()
-    adj = adj.repartition(max(4, n_adj // 250_000 + 1)).materialize()
+    n_blocks = _blocks(n_adj)
+    adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj
 
     active = (adj.groupby("node").count()
               .map_batches(lambda t: t.select(["node"]),
                            batch_format="pyarrow")
-              .repartition(4).materialize())
+              .repartition(n_blocks).materialize())
     mis_parts: list[ray.data.Dataset] = []
 
     for r in range(max_rounds):
@@ -1493,7 +1501,7 @@ def luby_mis(
             })
 
         mis_r = cand.map_batches(winners, batch_format="pyarrow") \
-            .repartition(4).materialize()
+            .repartition(n_blocks).materialize()
         mis_parts.append(mis_r)
         if mis_r.count() == 0:
             break
@@ -1508,14 +1516,14 @@ def luby_mis(
             .union(dead_nbrs)
         active = hash_join(active, dead, on="node", how="anti",
                            est_rows=est_rows) \
-            .repartition(4).materialize()
+            .repartition(n_blocks).materialize()
         if active.count() == 0:
             break
 
     out = mis_parts[0]
     for part in mis_parts[1:]:
         out = out.union(part)
-    return out.repartition(4)
+    return out.repartition(n_blocks)
 
 
 def hits(
@@ -1578,7 +1586,7 @@ def hits(
         return empty
     # groupby outputs hundreds of near-empty blocks; every later join's
     # sort pays per BLOCK, not per row (the connected_components lesson)
-    e = e.repartition(max(4, n_e // 250_000 + 1)).materialize()
+    e = e.repartition(_blocks(n_e)).materialize()
     if est_rows is None:
         est_rows = n_e
 
@@ -1595,7 +1603,7 @@ def hits(
                           batch_format="pyarrow")
              .materialize())
     n_nodes = nodes.count()
-    nodes = nodes.repartition(max(4, n_nodes // 250_000 + 1)).materialize()
+    nodes = nodes.repartition(_blocks(n_nodes)).materialize()
 
     if n_nodes <= broadcast_limit:
         # ----- broadcast path: vector on the driver, big-int exact -----
@@ -1641,7 +1649,7 @@ def hits(
             "hub_q": pa.array([c for _, _, c in items], pa.int64())}))
 
     # ----- join path: vector stays distributed -----
-    vec_parts = max(4, n_nodes // 250_000 + 1)
+    vec_parts = _blocks(n_nodes)
 
     def _global_max(ds: ray.data.Dataset, col: str) -> int:
         def pmax(batch: pa.Table) -> pa.Table:
@@ -1779,7 +1787,7 @@ def link_prediction_topk(
             "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
             "cn": pa.array([], pa.int64()),
             "jacc_ppm": pa.array([], pa.int64())}))
-    und = und.repartition(max(4, n_und // 250_000 + 1)).materialize()
+    und = und.repartition(_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
     nb = int(max(16, min(4096, n_und // 100_000 + 1)))
@@ -1844,7 +1852,7 @@ def link_prediction_topk(
                       batch_format="pandas")
           .materialize())
     n_cn = cn.count()
-    cn = cn.repartition(max(4, n_cn // 250_000 + 1)).materialize()
+    cn = cn.repartition(_blocks(n_cn)).materialize()
 
     cand = hash_join(cn, und, on=["a", "b"], how="anti",
                      est_rows=max(n_cn, n_und))
@@ -1924,9 +1932,6 @@ def scc(
     from ray.data.aggregate import Min, Sum
 
     from ..functions.relational import hash_join
-
-    def _blocks(n: int) -> int:
-        return max(4, n // 250_000 + 1)
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
         return ds.repartition(_blocks(n)).materialize()
@@ -2144,9 +2149,9 @@ def msf_boruvka(
     to one winner per component in a hash-BUCKET map_groups (per-key
     groups would pay pandas overhead per component — CLAUDE.md rule);
     winners dedupe by (a, b); the chosen pairs' component graph — a
-    pseudoforest, possibly chain-shaped — collapses via
-    ``dedup.connected_components`` (min-label, 64 rounds), and one left
-    join relabels every node.  O(log n) outer rounds; every iterative
+    pseudoforest, possibly chain-shaped — collapses via the exact
+    ``dedup.connected_components``, and one left join relabels every
+    node.  O(log n) outer rounds; every iterative
     dataset re-materializes at a size-derived block count.
 
     Undirected semantics: edges normalize to (min, max) endpoints and
@@ -2161,9 +2166,6 @@ def msf_boruvka(
     from ..functions.dedup import connected_components
     from ..functions.relational import hash_join
     from ..schema import pd_to_arrow
-
-    def _blocks(n: int) -> int:
-        return max(4, n // 250_000 + 1)
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
         return ds.repartition(_blocks(max(n, 1))).materialize()
@@ -2323,8 +2325,7 @@ def maximal_matching(
     vertices remove their edges via two anti hash_joins.  Every
     iterative dataset re-materializes at a size-derived block count
     (CLAUDE.md rule).  Adversarial chains (monotone weights along a
-    path) need Θ(path) rounds — ``max_rounds`` caps with a warning,
-    like ``connected_components``.
+    path) need Θ(path) rounds — ``max_rounds`` caps with a warning.
 
     Undirected: endpoints normalize to (min, max), self-loops drop,
     duplicate pairs thin map-side to their MAX weight.  Weights int64.
@@ -2337,9 +2338,6 @@ def maximal_matching(
 
     from ..functions.relational import hash_join
     from ..schema import pd_to_arrow
-
-    def _blocks(n: int) -> int:
-        return max(4, n // 250_000 + 1)
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
         return ds.repartition(_blocks(max(n, 1))).materialize()
@@ -2471,7 +2469,7 @@ def greedy_coloring(
     from ..functions.relational import hash_join
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
-        return ds.repartition(max(4, n // 250_000 + 1)).materialize()
+        return ds.repartition(_blocks(n)).materialize()
 
     def _pairs(batch: pa.Table) -> pa.Table:
         s = pc.cast(batch.column("src"), pa.int64()) \
@@ -2613,7 +2611,8 @@ def label_propagation(
            .map_batches(lambda t: t.drop_columns(["count()"]),
                         batch_format="pyarrow").materialize())
     n_adj = adj.count()
-    adj = adj.repartition(max(4, n_adj // 250_000 + 1)).materialize()
+    n_blocks = _blocks(n_adj)
+    adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj
 
@@ -2625,7 +2624,7 @@ def label_propagation(
 
     labels = (adj.groupby("node").count()
               .map_batches(init_labels, batch_format="pyarrow")
-              .repartition(4).materialize())
+              .repartition(n_blocks).materialize())
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -2660,7 +2659,7 @@ def label_propagation(
         labels = (msgs.map_batches(add_bucket, batch_format="pyarrow")
                   .groupby("__bucket")
                   .map_groups(mode_per_node, batch_format="pandas")
-                  .repartition(4).materialize())
+                  .repartition(n_blocks).materialize())
 
     return labels.map_batches(
         lambda t: pa.table({"node": t.column("node"),
@@ -2670,13 +2669,13 @@ def label_propagation(
 
 def cc_pointer_doubling(
     edges: ray.data.Dataset,
-    n_rounds: int = 4,
+    n_rounds: int | None = 4,
     est_rows: int | None = None,
+    max_rounds: int = 32,
 ) -> ray.data.Dataset:
-    """Connected components by hash-to-min with POINTER DOUBLING — the
-    O(log n)-round alternative to ``functions.dedup.connected_components``'
-    plain min-label propagation (O(diameter) rounds).  Each round has two
-    synchronized steps:
+    """Connected components by hash-to-min with POINTER DOUBLING, the
+    distributed plan of ``functions.dedup.connected_components``.  Each
+    round has two synchronized steps:
 
     1. neighbor-min: ``m(v) = min(l(v), min_{u in N(v)} l(u))`` — one
        label-shipping hash join + a Min groupby (own label rides the
@@ -2684,12 +2683,20 @@ def cc_pointer_doubling(
     2. pointer jump: ``l'(v) = m(m(v))`` — one self-join of the label
        table (labels are node ids, so ``m(v)`` is always a valid key).
 
-    Propagation distance doubles per round, so web-scale components
-    (diameter ~20) close in ~5 rounds where plain propagation needs ~20
-    — at one extra join per round.  Round-synchronous ⇒ the unrolled
-    SQL oracle agrees at any depth, converged or not (the kcore
-    contract).  Returns (node, component), component = min reachable
-    label after ``n_rounds``."""
+    Propagation distance doubles per round, so a component of diameter
+    d closes in O(log d) rounds.  With ``n_rounds=k`` exactly k rounds
+    run: round-synchronous ⇒ the unrolled SQL oracle agrees at any
+    depth, converged or not (the kcore contract).  With
+    ``n_rounds=None`` the rounds run to convergence: the same Min reduce
+    carries each node's previous label (label rows old=label, message
+    rows old=+inf), and a distributed Sum of ``m(v) != l(v)`` flags
+    stops the loop once a neighbor-min step moves no label — then every
+    edge joins equal labels, so each label is its component's min id.
+    Still changing after ``max_rounds`` raises ``RuntimeError``.
+
+    Self-loops drop.  Returns (node, component)."""
+    import pyarrow.compute as pc
+
     from ray.data.aggregate import Min
 
     from ..functions.relational import hash_join
@@ -2715,13 +2722,12 @@ def cc_pointer_doubling(
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "component": pa.array([], pa.int64())}))
-    adj = adj.repartition(max(4, n_adj // 250_000 + 1)).materialize()
+    n_blocks = _blocks(n_adj)
+    adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj
 
     def own_min(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         lab = pc.min_element_wise(
             pc.cast(batch.column("node"), pa.int64()),
             pc.cast(batch.column("label"), pa.int64()))
@@ -2730,44 +2736,54 @@ def cc_pointer_doubling(
 
     labels = (adj.groupby("node").aggregate(Min("nbr", alias_name="label"))
               .map_batches(own_min, batch_format="pyarrow")
-              .repartition(4).materialize())
+              .repartition(n_blocks).materialize())
+
+    def with_old(batch: pa.Table) -> pa.Table:
+        return batch.append_column("old", batch.column("label"))
 
     def as_msgs(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return pa.table({
+            "node": pc.cast(batch.column("nbr"), pa.int64(), safe=False),
+            "label": pc.cast(batch.column("label"), pa.int64(), safe=False),
+            "old": pa.array(np.full(batch.num_rows, _I64MAX, np.int64))})
 
-        return pa.table({"node": pc.cast(batch.column("nbr"), pa.int64(),
-                                         safe=False),
-                         "label": pc.cast(batch.column("label"), pa.int64(),
-                                          safe=False)})
+    def changed(batch: pa.Table) -> pa.Table:
+        return pa.table({"changed": pc.cast(pc.not_equal(
+            batch.column("label"), batch.column("old")), pa.int64())})
 
-    for _ in range(n_rounds):
+    def as_ptr(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "v": batch.column("node"),
+            "node": pc.cast(batch.column("label"), pa.int64(), safe=False)})
+
+    def unjump(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "node": pc.cast(batch.column("v"), pa.int64(), safe=False),
+            "label": pc.cast(batch.column("label"), pa.int64(),
+                             safe=False)})
+
+    for _ in range(max_rounds if n_rounds is None else n_rounds):
         # step 1: neighbor-min (own label unioned into the same reduce)
         msgs = hash_join(adj, labels, on="node", est_rows=est_rows) \
             .map_batches(as_msgs, batch_format="pyarrow")
-        m = (labels.union(msgs).groupby("node")
-             .aggregate(Min("label", alias_name="label"))
-             .repartition(4).materialize())
+        m = (labels.map_batches(with_old, batch_format="pyarrow")
+             .union(msgs).groupby("node")
+             .aggregate(Min("label", alias_name="label"),
+                        Min("old", alias_name="old"))
+             .repartition(n_blocks).materialize())
+        if n_rounds is None and not m.map_batches(
+                changed, batch_format="pyarrow").sum("changed"):
+            break
         # step 2: pointer jump l'(v) = m(m(v)) — join on the label key
-        def as_ptr(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table({
-                "v": batch.column("node"),
-                "node": pc.cast(batch.column("label"), pa.int64(),
-                                safe=False)})
-
-        def unjump(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table({
-                "node": pc.cast(batch.column("v"), pa.int64(), safe=False),
-                "label": pc.cast(batch.column("label"), pa.int64(),
-                                 safe=False)})
-
-        ptr = m.map_batches(as_ptr, batch_format="pyarrow")
-        jumped = hash_join(ptr, m, on="node", est_rows=est_rows)
+        jumped = hash_join(m.map_batches(as_ptr, batch_format="pyarrow"),
+                           m, on="node", est_rows=est_rows)
         labels = (jumped.map_batches(unjump, batch_format="pyarrow")
-                  .repartition(4).materialize())
+                  .repartition(n_blocks).materialize())
+    else:
+        if n_rounds is None:
+            raise RuntimeError(
+                f"cc_pointer_doubling: labels still changing after "
+                f"max_rounds={max_rounds}; raise max_rounds")
 
     return labels.map_batches(
         lambda t: pa.table({"node": t.column("node"),

@@ -21,6 +21,89 @@ def test_connected_components(ray_session):
     assert comp[7] == comp[8] == 7
 
 
+def _long_chain():
+    """A 40-hop chain over ids 2^60 + i, visited in a shuffled order so
+    the min id sits mid-chain, plus a disjoint pair; and its answer."""
+    import numpy as np
+
+    base = 1 << 60
+    order = np.random.RandomState(11).permutation(41) + base
+    a = list(order[:-1]) + [base + 100]
+    b = list(order[1:]) + [base + 101]
+    truth = {int(v): base for v in order}
+    truth.update({base + 100: base + 100, base + 101: base + 100})
+    return pa.table({"doc_a": pa.array(a, pa.int64()),
+                     "doc_b": pa.array(b, pa.int64())}), truth
+
+
+def _components_at_gate(pairs, gate, **kw):
+    from stanford_re_ray.functions import dedup
+
+    old = dedup.BROADCAST_LOSER_LIMIT
+    try:
+        dedup.BROADCAST_LOSER_LIMIT = gate
+        out = dedup.connected_components(pairs, **kw).to_pandas()
+    finally:
+        dedup.BROADCAST_LOSER_LIMIT = old
+    return out
+
+
+@pytest.mark.parametrize("gate", [5_000_000, 0], ids=["local", "dist"])
+def test_connected_components_long_chain_exact(ray_session, gate):
+    """Both plans (driver union-find under the broadcast gate, pointer
+    doubling above it) give the exact components of a chain whose
+    diameter exceeds the default ``max_rounds``, with 64-bit ids."""
+    import ray.data as rd
+
+    tbl, truth = _long_chain()
+    out = _components_at_gate(rd.from_arrow(tbl), gate)
+    assert str(out["doc_id"].dtype) == str(out["component"].dtype) == "int64"
+    assert dict(zip(out["doc_id"].tolist(),
+                    out["component"].tolist())) == truth
+
+
+def test_connected_components_round_cap_raises(ray_session):
+    """The distributed plan raises when labels still change at
+    ``max_rounds`` rather than return split components."""
+    import ray.data as rd
+
+    tbl, _ = _long_chain()
+    with pytest.raises(RuntimeError, match="max_rounds=1"):
+        _components_at_gate(rd.from_arrow(tbl), 0, max_rounds=1)
+
+
+def test_union_find_matches_bfs():
+    """The driver union-find equals a plain BFS labelling (component =
+    min id) on random multigraphs with 64-bit ids."""
+    import numpy as np
+
+    from stanford_re_ray.functions.dedup import _union_find
+
+    rng = np.random.RandomState(5)
+    for _ in range(200):
+        n, m = rng.randint(1, 60), rng.randint(0, 90)
+        a = rng.randint(0, n, m).astype(np.int64) + (1 << 60)
+        b = rng.randint(0, n, m).astype(np.int64) + (1 << 60)
+        keep = a != b
+        adj: dict = {}
+        for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+            adj.setdefault(x, set()).add(y)
+            adj.setdefault(y, set()).add(x)
+        truth: dict = {}
+        for s in sorted(adj):
+            if s in truth:
+                continue
+            truth[s], stack = s, [s]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in truth:
+                        truth[v] = s
+                        stack.append(v)
+        out = _union_find(a[keep], b[keep])
+        assert dict(zip(out.column("doc_id").to_pylist(),
+                        out.column("component").to_pylist())) == truth
+
+
 def test_minhash_finds_planted_near_dups(ray_session):
     import ray.data as rd
 
@@ -85,10 +168,12 @@ def test_simhash_neardup_pairs(ray_session):
 
 def test_dedup_corpus_end_to_end(ray_session):
     """The composed pipeline: planted exact+near dups collapse to one
-    representative (min doc_id); unrelated docs all survive."""
+    representative (min doc_id); unrelated docs all survive — under the
+    broadcast gate (driver components, broadcast loser filter) and with
+    the gate at 0 (pointer doubling, distributed anti join)."""
     import ray.data as rd
 
-    from stanford_re_ray.functions.dedup import dedup_corpus
+    from stanford_re_ray.functions import dedup
 
     base = ("the quick brown fox jumps over the lazy dog while the band "
             "plays a long tune about data pipelines and shuffles at scale "
@@ -106,9 +191,17 @@ def test_dedup_corpus_end_to_end(ray_session):
         "doc_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
         "text": [base, near, base] + others[:3],
     }))
-    kept = sorted(dedup_corpus(docs, threshold=0.5).to_pandas()["doc_id"])
-    # cluster {1,2,3} -> representative 1; the three distinct docs survive
-    assert kept == [1, 4, 5, 6]
+    for gate in (dedup.BROADCAST_LOSER_LIMIT, 0):
+        old = dedup.BROADCAST_LOSER_LIMIT
+        try:
+            dedup.BROADCAST_LOSER_LIMIT = gate
+            kept = sorted(dedup.dedup_corpus(docs, threshold=0.5)
+                          .to_pandas()["doc_id"])
+        finally:
+            dedup.BROADCAST_LOSER_LIMIT = old
+        # cluster {1,2,3} -> representative 1; the three distinct docs
+        # survive
+        assert kept == [1, 4, 5, 6], gate
 
 
 def test_embedding_neardup_broadcast_matches_join_path(ray_session):

@@ -68,12 +68,13 @@ def test_quality_lr_groupby_path_matches_driver_sum(ray_session):
 
 
 def test_cc_pointer_doubling_matches_plain_cc(ray_session):
-    """On a graph where BOTH algorithms reach their fixpoint, pointer
-    doubling and plain min-label propagation must agree exactly with
-    the true components."""
+    """On a graph where fixed-round pointer doubling reaches its
+    fixpoint, it and both plans of ``connected_components`` (driver
+    union-find, and distributed doubling to convergence with the
+    broadcast gate at 0) must agree exactly with the true components."""
     import ray.data as rd
 
-    from stanford_re_ray.functions.dedup import connected_components
+    from stanford_re_ray.functions import dedup
     from stanford_re_ray.pipelines.graph_ops import cc_pointer_doubling
 
     rng = np.random.RandomState(7)
@@ -94,13 +95,24 @@ def test_cc_pointer_doubling_matches_plain_cc(ray_session):
         lambda t: pa.table({"doc_a": t.column("src"),
                             "doc_b": t.column("dst")}),
         batch_format="pyarrow")
-    plain = connected_components(pairs, max_rounds=12).to_pandas() \
-        .rename(columns={"doc_id": "node"}) \
-        .sort_values("node").reset_index(drop=True)
+
+    def cc() -> pd.DataFrame:
+        return dedup.connected_components(pairs, max_rounds=12) \
+            .to_pandas().rename(columns={"doc_id": "node"}) \
+            .sort_values("node").reset_index(drop=True)
+
+    local = cc()
+    old = dedup.BROADCAST_LOSER_LIMIT
+    try:
+        dedup.BROADCAST_LOSER_LIMIT = 0
+        dist = cc()
+    finally:
+        dedup.BROADCAST_LOSER_LIMIT = old
     truth = (ptr["node"].to_numpy() // 6) * 6
     np.testing.assert_array_equal(ptr["component"].to_numpy(), truth)
-    pd.testing.assert_frame_equal(
-        ptr, plain[["node", "component"]], check_dtype=False)
+    for plan in (local, dist):
+        pd.testing.assert_frame_equal(
+            ptr, plan[["node", "component"]], check_dtype=False)
 
 
 @pytest.mark.parametrize("parts", [3, 11])

@@ -123,18 +123,24 @@ def test_mention_scorer_trailing_empty_features(ray_session):
 
 
 def test_connected_components_no_driver_collect(ray_session):
-    """Join-based label propagation converges on a chain (needs >1 round)
+    """With the broadcast gate at 0 the pairs never reach the driver:
+    distributed pointer doubling converges on a chain (needs >1 round)
     and on disjoint components."""
     import ray.data as rd
 
-    from stanford_re_ray.functions.dedup import connected_components
+    from stanford_re_ray.functions import dedup
 
     # chain 1-2-3-4-5 forces multi-round propagation; 10-11 is disjoint
     pairs = rd.from_arrow(pa.table({
         "doc_a": pa.array([4, 3, 2, 1, 10], pa.int64()),
         "doc_b": pa.array([5, 4, 3, 2, 11], pa.int64()),
     }))
-    out = connected_components(pairs).to_pandas()
+    old = dedup.BROADCAST_LOSER_LIMIT
+    try:
+        dedup.BROADCAST_LOSER_LIMIT = 0
+        out = dedup.connected_components(pairs).to_pandas()
+    finally:
+        dedup.BROADCAST_LOSER_LIMIT = old
     comp = dict(zip(out["doc_id"], out["component"]))
     assert comp[1] == comp[2] == comp[3] == comp[4] == comp[5] == 1
     assert comp[10] == comp[11] == 10
