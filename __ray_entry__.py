@@ -148,9 +148,8 @@ def entry() -> Any:
 
     from stanford_re_ray.fixtures import gen_corpus
     from stanford_re_ray.pipelines.kg import (
-        bag_stage,
-        consistency_stage,
         extract_stage,
+        kg_tail,
         nlp_stage,
         pairs_stage,
         score_stage,
@@ -168,8 +167,7 @@ def entry() -> Any:
     docs = extract_stage(pages)
     sentences = nlp_stage(docs, dicts)
     pairs = pairs_stage(sentences, clusters)
-    scored = score_stage(pairs, model)
-    return consistency_stage(bag_stage(scored))
+    return kg_tail(score_stage(pairs, model))
 
 
 # --- KG pipeline queries (rows-only checks: not SQL-expressible) ------------

@@ -3,16 +3,19 @@ one lazy Ray Data graph.
 
     pages ─S1 extract─► docs ─S2 nlp (actor pool)─► sentences
           ─S3+S4 mentions+pairs+features (fused, sentence-local)─► pairs
-          ─S5 mention scoring (broadcast weights)─► scored mentions
-          ─S6 bag groupby (shuffle #1, KBPair key)─► candidate triples
-          ─S7 unary consistency + per-entity greedy (groupby subj)─► triples
-          ─S8 canonicalize (shuffle #4, blocked + salted) + edge merge
-               (shuffle #3)─► nodes / edges
+          ─S5 mention scoring (broadcast compact weights)─► scored mentions
+          ─S6 bag reduce + S7 unary filter + per-entity greedy (kg_tail:
+               ONE shuffle, keyed by entity hash)─► triples
+          ─S8 canonicalize + noisy-OR edge merge (driver-side below
+               SMALL_GRAPH_THRESHOLD triples; above it two shuffles:
+               blocked + salted names, then (src, pred, dst))─► nodes / edges
 
-Everything streams: no full materialization until the final
-``write_parquet`` / small collect.  The only wide operations are the three
-groupbys, each keyed on *extracted* records (pairs/triples ≪ pages —
-SURVEY.md §7.5 scale posture).
+Everything streams: no full materialization until the triples.  The only
+wide operations are groupbys keyed on *extracted* records (pairs/triples ≪
+pages — SURVEY.md §7.5 scale posture).  ``bag_stage`` and
+``consistency_stage`` run S6 and S7 as separate shuffles when composed by
+hand; they share their combiner, reducers and entity bucketing with
+``kg_tail``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..schema import EDGES, NODES, TRIPLES, conform
 from ..stages import canonicalize as canon
-from ..stages.classify import LRModel, MentionScorer
-from ..stages.consistency import greedy_consistency, unary_filter_batch
+from ..stages.classify import (LRModel, MentionScorer, bag_reduce_bucket,
+                               partial_bag_combine, subject_buckets)
+from ..stages.consistency import (MAX_SLOT_LEN, greedy_consistency_bucket,
+                                  unary_filter_batch)
 from ..stages.extract import extract_batch, filter_lang
 from ..stages.nlp import Dictionaries, NlpAnnotator
 from ..stages.pairs import PairFeaturizer
@@ -152,56 +158,66 @@ def pairs_stage(
 
 def score_stage(pairs: ray.data.Dataset, model: LRModel,
                 keep_threshold: float = 0.5) -> ray.data.Dataset:
-    """S5: per-mention classification with zero-copy broadcast weights
-    (task pool; weights fetched once per worker process).  Drops
-    non-relation mentions before the bag shuffle."""
-    model_ref = ray.put(model)
+    """S5: per-mention classification; broadcasts the model's compact
+    ``(dims, Wc, bias)`` view (~0.2 MB, not the 42 MB dense matrix), fetched
+    once per worker process.  Drops non-relation mentions before the bag
+    shuffle."""
     return pairs.map_batches(
-        MentionScorer(model_ref, keep_threshold=keep_threshold),
+        MentionScorer(ray.put(model.compact()), keep_threshold=keep_threshold),
         batch_format="pyarrow",
         batch_size=MAP_BATCH_SIZE,
     )
 
 
+def _bucket_reduce(ds: ray.data.Dataset, bucket, reduce) -> ray.data.Dataset:
+    """One int-bucket shuffle: ``bucket`` (pandas batch → Arrow with a
+    ``__bucket`` column) map-side, then ``reduce`` (pandas group → Arrow)
+    per bucket."""
+    return ds.map_batches(bucket, batch_format="pandas").groupby(
+        "__bucket").map_groups(reduce, batch_format="pandas")
+
+
+def _greedy_reducer(city_to_country: dict[str, str] | None = None,
+                    enforce_cardinality: bool = True,
+                    enforce_incompatibilities: bool = True,
+                    extra_pass=None,
+                    gibbs_mixing_time: int | None = None):
+    """The S7 per-bucket reduce: per-entity greedy (or Gibbs) consistency,
+    then the optional ``extra_pass``, typed as ``schema.TRIPLES``."""
+    geo = dict(city_to_country) if city_to_country else None
+
+    def reduce(df) -> pa.Table:
+        return conform(greedy_consistency_bucket(
+            df, geo, enforce_cardinality=enforce_cardinality,
+            enforce_incompatibilities=enforce_incompatibilities,
+            extra_pass=extra_pass, gibbs_mixing_time=gibbs_mixing_time),
+            TRIPLES)
+    return reduce
+
+
 def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
-              tree_combine_blocks: int = 32,
-              est_rows: int | None = None) -> ray.data.Dataset:
-    """S6: bag formation + label aggregation — shuffle #1, key = KBPair
+              est_rows: int | None = None, bag_reduce=bag_reduce_bucket,
+              combine=partial_bag_combine) -> ray.data.Dataset:
+    """S6 on its own: bag formation + label aggregation
     (Featurizer.java:38-70 / OneVsAllRelationExtractor.classifyRelations).
 
-    Physically: a map-side COMBINER (fused into the scorer's task chain)
-    collapses each batch to one row per (pair, rel) before the exchange,
-    a TREE-COMBINE round coalesces the partials into
-    ``tree_combine_blocks`` larger blocks and combines again (each level
-    caps partial rows at blocks × distinct-pairs — the first level alone
-    leaves ~0.7 rows per input mention when pairs repeat across the
-    corpus, and the all-to-all sort is the measured S6 bottleneck at that
-    size), then the shuffle moves only the collapsed partials keyed by an
-    int hash bucket and the reduce merges them vectorized.  Quantized
-    int64 scores keep every merge associative → bit-identical results at
-    any parallelism.
+    A map-side ``combine`` (fused into the scorer's task chain) collapses
+    each batch to one row per (pair, rel) and tags it with its entity's
+    bucket; one shuffle moves the partials and ``bag_reduce``
+    (``bag_reduce_bucket``, ``hoffmann_bag_reduce`` or a
+    ``miml_bag_reducer``; pandas group → Arrow typed as ``schema.TRIPLES``)
+    merges them per bucket.  Quantized int64 scores
+    keep every merge associative → bit-identical results at any
+    parallelism.  ``kg_tail`` runs the same reduce fused with S7.
 
     ``n_buckets`` is size-derived when an ``est_rows`` (expected scored
     mentions) hint is given — bucket count is output-invariant here
     because every merge is associative, so scaling it only widens the
     reduce."""
     from ..functions.relational import resolve_n_buckets
-    from ..stages.classify import bag_reduce_bucket, partial_bag_combine
 
-    n_buckets = resolve_n_buckets(n_buckets, est_rows)
-    partials = scored.map_batches(
-        lambda df, _n=n_buckets: partial_bag_combine(df, _n),
-        batch_format="pandas",
-    )
-    if tree_combine_blocks:
-        partials = partials.repartition(tree_combine_blocks).map_batches(
-            lambda df, _n=n_buckets: partial_bag_combine(
-                df.drop(columns=["__bucket"], errors="ignore"), _n),
-            batch_format="pandas",
-        )
-    return partials.groupby("__bucket").map_groups(
-        bag_reduce_bucket, batch_format="pandas"
-    )
+    n = resolve_n_buckets(n_buckets, est_rows)
+    return _bucket_reduce(scored, lambda df: combine(df, n), bag_reduce)
 
 
 def consistency_stage(triples: ray.data.Dataset,
@@ -214,50 +230,57 @@ def consistency_stage(triples: ray.data.Dataset,
                       gibbs_mixing_time: int | None = None,
                       est_rows: int | None = None,
                       ) -> ray.data.Dataset:
-    """S7: unary filters/rewrites, then entity-local greedy consistency
-    (bucketed by subject hash; greedy remains per-entity inside; optional
-    gazetteer geo-consistency via ``city_to_country``; optional
-    ``extra_pass`` = pass-2 chain, e.g. ``consistency.pass2_chain()``).
-    ``n_buckets`` size-derived from ``est_rows`` (candidate triples) when
-    given; bucketing is by subject hash so any count is output-invariant."""
-    import zlib
-
+    """S7 on its own: unary filters/rewrites map-side, then entity-local
+    greedy consistency (bucketed by ``subject_buckets``; greedy remains
+    per-entity inside; optional gazetteer geo-consistency via
+    ``city_to_country``; optional ``extra_pass`` = pass-2 chain, e.g.
+    ``consistency.pass2_chain()``).  ``n_buckets`` size-derived from
+    ``est_rows`` (candidate triples) when given; bucketing is by subject
+    hash so any count is output-invariant."""
     from ..functions.relational import resolve_n_buckets
-    from ..stages.consistency import (MAX_SLOT_LEN,
-                                      greedy_consistency_bucket)
 
-    n_buckets = resolve_n_buckets(n_buckets, est_rows)
-
+    n = resolve_n_buckets(n_buckets, est_rows)
     msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
-    t = triples.map_batches(
-        lambda b, _m=msl: unary_filter_batch(b, max_slot_len=_m),
-        batch_format="pyarrow",
-    )
 
-    def add_subj_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{s}\x00{st}"
-            for s, st in zip(batch.column("subj").to_pylist(),
-                             batch.column("subj_type").to_pylist())
-        ]
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode("utf-8", "surrogatepass")) % n_buckets
-                      for k in keys], pa.int32()),
-        )
+    def bucket(batch: pa.Table) -> pa.Table:
+        t = unary_filter_batch(batch, max_slot_len=msl)
+        return t.append_column("__bucket", pa.array(subject_buckets(
+            t.column("subj").to_pylist(), t.column("subj_type").to_pylist(),
+            n)))
 
-    bucketed = t.map_batches(add_subj_bucket, batch_format="pyarrow")
-    geo = dict(city_to_country) if city_to_country else None
-    return bucketed.groupby("__bucket").map_groups(
-        lambda g, _geo=geo: greedy_consistency_bucket(
-            g, _geo,
-            enforce_cardinality=enforce_cardinality,
-            enforce_incompatibilities=enforce_incompatibilities,
-            extra_pass=extra_pass,
-            gibbs_mixing_time=gibbs_mixing_time,
-        ),
-        batch_format="pandas",
-    )
+    bucketed = triples.map_batches(bucket, batch_format="pyarrow")
+    return bucketed.groupby("__bucket").map_groups(_greedy_reducer(
+        city_to_country, enforce_cardinality, enforce_incompatibilities,
+        extra_pass, gibbs_mixing_time), batch_format="pandas")
+
+
+def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
+            combine=partial_bag_combine, n_buckets: int | None = None,
+            est_rows: int | None = None, max_slot_len: int | None = None,
+            **greedy) -> ray.data.Dataset:
+    """S6 + S7 in ONE shuffle: scored mentions → consistent TRIPLES.
+
+    The bag partials are bucketed by entity (``subject_buckets``), and
+    PAIR_KEY starts with the entity, so one bucket holds every bag of each
+    of its entities.  One ``map_groups`` then runs, per bucket, the bag
+    reduce (``bag_reduce``: ``bag_reduce_bucket``, ``hoffmann_bag_reduce``
+    or a ``miml_bag_reducer``, with its matching ``combine``), the unary
+    filter and the per-entity greedy pass (``greedy``: the
+    ``consistency_stage`` options) — the reference's per-query-entity
+    classifyRelations + HeuristicSlotfillPostProcessor.  Output equals
+    ``consistency_stage(bag_stage(scored))`` row for row, typed as
+    ``schema.TRIPLES``."""
+    from ..functions.relational import resolve_n_buckets
+
+    n = resolve_n_buckets(n_buckets, est_rows)
+    msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
+    greedy_reduce = _greedy_reducer(**greedy)
+
+    def reduce(g) -> pa.Table:
+        cands = unary_filter_batch(bag_reduce(g), max_slot_len=msl)
+        return greedy_reduce(cands.to_pandas())
+
+    return _bucket_reduce(scored, lambda df: combine(df, n), reduce)
 
 
 def _names_of_triples(batch: pa.Table) -> pa.Table:
@@ -542,6 +565,10 @@ def name_map_from_nodes(nodes_tbl: pa.Table) -> dict[tuple[str, str], str]:
     return out
 
 
+#: ``schema.NODES`` plus the ``members`` surfaces the name map is built from
+NODES_MEMBERS = pa.schema(list(NODES) + [("members", pa.list_(pa.string()))])
+
+
 def _graph_small_path(triples_tbl: pa.Table, max_cluster: int = 150):
     """Driver-side S8 for small triple sets (same functions, no Ray
     operators): canonicalize + noisy-OR merge in-process.  Semantics are
@@ -550,26 +577,8 @@ def _graph_small_path(triples_tbl: pa.Table, max_cluster: int = 150):
     triple set is tiny relative to the corpus."""
     import pandas as pd
 
-    if "subj" not in triples_tbl.column_names:  # zero triples extracted
-        empty_nodes = pa.table({
-            "entity_id": pa.array([], pa.string()),
-            "name": pa.array([], pa.string()),
-            "type": pa.array([], pa.string()),
-            "alt_names": pa.array([], pa.list_(pa.string())),
-            "n_mentions": pa.array([], pa.int64()),
-            "members": pa.array([], pa.list_(pa.string())),
-        })
-        empty_edges = pa.table({
-            "src_id": pa.array([], pa.string()),
-            "pred": pa.array([], pa.string()),
-            "dst_id": pa.array([], pa.string()),
-            "score": pa.array([], pa.float64()),
-            "n_support": pa.array([], pa.int64()),
-            "doc_id": pa.array([], pa.string()),
-            "sent_idx": pa.array([], pa.int32()),
-        })
-        return empty_nodes, empty_edges
-
+    if not triples_tbl.num_rows:  # zero triples extracted
+        return NODES_MEMBERS.empty_table(), EDGES.empty_table()
     names = pd.DataFrame(
         {
             "name": triples_tbl.column("subj").to_pylist()
@@ -587,12 +596,9 @@ def _graph_small_path(triples_tbl: pa.Table, max_cluster: int = 150):
         canon.link_cluster(g, max_cluster=max_cluster)
         for _, g in counted.groupby("block", sort=True)
     ]
-    nodes_df = (
-        pd.concat(parts, ignore_index=True) if parts
-        else pd.DataFrame(columns=["entity_id", "name", "type", "alt_names",
-                                   "n_mentions", "members"])
-    )
-    nodes_tbl = pa.Table.from_pandas(nodes_df, preserve_index=False)
+    nodes_tbl = conform(pa.Table.from_pandas(
+        pd.concat(parts, ignore_index=True), preserve_index=False),
+        NODES_MEMBERS)
     name_map = name_map_from_nodes(nodes_tbl)
     tdf = triples_tbl.to_pandas()
     tdf["src_id"] = [
@@ -606,7 +612,7 @@ def _graph_small_path(triples_tbl: pa.Table, max_cluster: int = 150):
     edges_tbl = canon.noisy_or_merge_bucket(
         tdf[["src_id", "pred", "dst_id", "score", "doc_id", "sent_idx"]]
     )
-    return nodes_tbl, edges_tbl
+    return nodes_tbl, conform(edges_tbl, EDGES)
 
 
 #: below this many triples, S8 runs driver-side (one process beats ~7
@@ -638,29 +644,35 @@ def run_kg_pipeline(
     path choice); nodes/edges come back as Datasets either way.
     ``lang=""`` keeps every page — the right setting for sources without
     language metadata (WARC)."""
-    import ray.data as rd
-
     docs = extract_stage(pages, lang=lang)
     sentences = nlp_stage(docs, dicts, concurrency=nlp_concurrency,
                           mode=nlp_mode)
     pairs = pairs_stage(sentences, clusters)
-    scored = score_stage(pairs, model)
-    candidates = bag_stage(scored)
-    triples = consistency_stage(candidates).materialize()
+    triples = kg_tail(score_stage(pairs, model)).materialize()
+    return {"triples": triples, **_graph_stage(triples, n_salt=n_salt)}
+
+
+def _graph_stage(triples: ray.data.Dataset, n_salt: int = 1,
+                 max_cluster: int = 150) -> dict[str, ray.data.Dataset]:
+    """S8 on materialized triples → {nodes, edges}: driver-side up to
+    SMALL_GRAPH_THRESHOLD triples, else the distributed blocked/salted
+    path, resolving names by broadcast map or, above
+    BROADCAST_NODE_LIMIT nodes, by hash join."""
+    import ray.data as rd
+
     if triples.count() <= SMALL_GRAPH_THRESHOLD:
-        nodes_tbl, edges_tbl = _graph_small_path(dataset_to_table(triples))
-        return {
-            "triples": triples,
-            "nodes": rd.from_arrow(nodes_tbl),
-            "edges": rd.from_arrow(edges_tbl),
-        }
-    nodes = nodes_stage(triples, n_salt=n_salt).materialize()
+        nodes_tbl, edges_tbl = _graph_small_path(dataset_to_table(triples),
+                                                 max_cluster=max_cluster)
+        return {"nodes": rd.from_arrow(nodes_tbl),
+                "edges": rd.from_arrow(edges_tbl)}
+    nodes = nodes_stage(triples, n_salt=n_salt,
+                        max_cluster=max_cluster).materialize()
     if nodes.count() > BROADCAST_NODE_LIMIT:
         edges = edges_stage_join(triples, nodes)
     else:
-        name_map = name_map_from_nodes(dataset_to_table(nodes))
-        edges = edges_stage(triples, name_map)
-    return {"triples": triples, "nodes": nodes, "edges": edges}
+        edges = edges_stage(triples,
+                            name_map_from_nodes(dataset_to_table(nodes)))
+    return {"nodes": nodes, "edges": edges}
 
 
 def run_kg_pipeline_miml(
@@ -673,14 +685,13 @@ def run_kg_pipeline_miml(
     the default LR scorer+bag stages (same S1–S4 and S7; the z/y layers
     replace S5/S6 — InferentialSlotFiller with ModelType.JOINT_BAYES).
     Returns the consistency-filtered triples Dataset."""
-    from ..stages.miml import miml_bag_stage, miml_score_stage
+    from ..stages.miml import (miml_bag_combine, miml_bag_reducer,
+                               miml_score_stage)
 
-    docs = extract_stage(pages)
-    sentences = nlp_stage(docs, dicts)
-    pairs = pairs_stage(sentences, clusters)
-    scored = miml_score_stage(pairs, miml_model)
-    candidates = miml_bag_stage(scored, miml_model)
-    return consistency_stage(candidates)
+    pairs = pairs_stage(nlp_stage(extract_stage(pages), dicts), clusters)
+    return kg_tail(miml_score_stage(pairs, miml_model),
+                   bag_reduce=miml_bag_reducer(miml_model),
+                   combine=miml_bag_combine)
 
 
 def run_kg_pipeline_hoffmann(
@@ -689,40 +700,21 @@ def run_kg_pipeline_hoffmann(
     dicts: Dictionaries | None = None,
     clusters: dict[str, str] | None = None,
     n_buckets: int | None = None,
-    tree_combine_blocks: int = 32,
 ) -> ray.data.Dataset:
     """pages → TRIPLES with the Hoffmann MultiR latent perceptron in place
     of the LR scorer+bag stages (ModelType.AT_LEAST_ONCE end-to-end).
     S5 = ``HoffmannScorer`` (argmax over averaged weights, NIL dropped);
-    S6 = the same combiner/tree-combine/bucket-shuffle shape as
-    ``bag_stage`` but reduced with a per-(pair, rel) MAX — the reference's
-    deterministic-OR Y layer.  Scores are RAW averaged-perceptron scores
-    (unbounded), as in classifyMentions.  Same S7 consistency."""
-    from ..functions.relational import resolve_n_buckets
-    from ..stages.classify import (HoffmannScorer, hoffmann_bag_reduce,
-                                   partial_bag_combine)
+    S6 = ``hoffmann_bag_reduce``, a per-(pair, rel) MAX — the reference's
+    deterministic-OR Y layer — in the same fused tail as the LR path.
+    Scores are RAW averaged-perceptron scores (unbounded), as in
+    classifyMentions.  Same S7 consistency."""
+    from ..stages.classify import HoffmannScorer, hoffmann_bag_reduce
 
-    docs = extract_stage(pages)
-    sentences = nlp_stage(docs, dicts)
-    pairs = pairs_stage(sentences, clusters)
+    pairs = pairs_stage(nlp_stage(extract_stage(pages), dicts), clusters)
     scored = pairs.map_batches(HoffmannScorer(ray.put(hoffmann_model)),
                                batch_format="pyarrow",
                                batch_size=MAP_BATCH_SIZE)
-    nb = resolve_n_buckets(n_buckets, None)
-    partials = scored.map_batches(
-        lambda df, _n=nb: partial_bag_combine(df, _n),
-        batch_format="pandas",
-    )
-    if tree_combine_blocks:
-        partials = partials.repartition(tree_combine_blocks).map_batches(
-            lambda df, _n=nb: partial_bag_combine(
-                df.drop(columns=["__bucket"], errors="ignore"), _n),
-            batch_format="pandas",
-        )
-    candidates = partials.groupby("__bucket").map_groups(
-        hoffmann_bag_reduce, batch_format="pandas"
-    )
-    return consistency_stage(candidates)
+    return kg_tail(scored, bag_reduce=hoffmann_bag_reduce, n_buckets=n_buckets)
 
 
 def run_kg_pipeline_cfg(
@@ -768,15 +760,13 @@ def run_kg_pipeline_cfg(
                                        cfg.relation_filter_components,
                                        n_buckets=cfg.n_buckets,
                                        est_rows=cfg.est_rows)
-    candidates = bag_stage(scored, n_buckets=cfg.n_buckets,
-                           est_rows=cfg.est_rows)
     extra = None
     if cfg.entailment:
         from ..stages.consistency import GeoMaps, pass2_chain
 
         extra = pass2_chain(GeoMaps())
-    triples = consistency_stage(
-        candidates,
+    triples = kg_tail(
+        scored,
         n_buckets=cfg.n_buckets,
         est_rows=cfg.est_rows,
         max_slot_len=cfg.max_slot_len,
@@ -786,21 +776,9 @@ def run_kg_pipeline_cfg(
         gibbs_mixing_time=(cfg.gibbs_mixing_time
                            if cfg.gibbs_objective == "sum" else None),
     ).materialize()
-    if triples.count() <= SMALL_GRAPH_THRESHOLD:
-        import ray.data as rd
-
-        nodes_tbl, edges_tbl = _graph_small_path(
-            dataset_to_table(triples), max_cluster=cfg.max_cluster
-        )
-        nodes, edges = rd.from_arrow(nodes_tbl), rd.from_arrow(edges_tbl)
-    else:
-        nodes = nodes_stage(triples, n_salt=cfg.n_salt,
-                            max_cluster=cfg.max_cluster).materialize()
-        if nodes.count() > BROADCAST_NODE_LIMIT:
-            edges = edges_stage_join(triples, nodes)
-        else:
-            name_map = name_map_from_nodes(dataset_to_table(nodes))
-            edges = edges_stage(triples, name_map)
+    graph = _graph_stage(triples, n_salt=cfg.n_salt,
+                         max_cluster=cfg.max_cluster)
+    nodes, edges = graph["nodes"], graph["edges"]
     if cfg.symmetrize or cfg.add_inverses:
         from .graph_ops import add_inverses as _inv
         from .graph_ops import symmetrize as _sym

@@ -17,13 +17,13 @@ results identical because mention scoring is pointwise):
     pairs ──map_batches(MentionScorer, broadcast weights)──►  scored mentions
           (mentions with no label at p>0.5 are DROPPED here — the huge
            data reduction happens *before* the shuffle)
-    scored ──groupby(subj,subj_type,obj,obj_type).map_groups(bag_agg)──► triples
+    scored ──combine──groupby(entity bucket).map_groups(bag reduce)──► triples
 
 Features are hashed to ``D = 2**18`` buckets with a stable content hash
 (process-independent; replaces KBPDataset's featureIndex interner —
 kbp/sf/classify/KBPDataset.java:16-120).  Weights are a dense float32
-``(R, D)`` matrix, broadcast once via ``ray.put`` and shared zero-copy by
-every scorer task.
+``(R, D)`` matrix; scoring broadcasts only its nonzero columns
+(``LRModel.compact``) via ``ray.put``, fetched once per worker process.
 """
 
 from __future__ import annotations
@@ -112,6 +112,51 @@ class LRModel:
         import pyarrow.parquet as pq
 
         return LRModel.from_table(pq.read_table(path))
+
+    def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scoring view ``(dims, Wc, bias)``, built once per model and
+        cached: after the count-≥5 threshold the (R, D) matrix is ~99%
+        zeros, so ``score_stage`` broadcasts this (~0.2 MB against 42 MB
+        dense) and the (n_dims, R) gather table fits in L2.  The dense
+        transposed gather (43 MB private per worker) was measured to
+        anti-scale 6.8x from 8 → 32 workers (shared-LLC thrash)."""
+        c = self.__dict__.get("_compact")
+        if c is None:
+            c = self._compact = (*compact_weights(self.weights), self.bias)
+        return c
+
+
+def compact_weights(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, D) weights → (dims, Wc): the sorted int64 feature dims with any
+    nonzero weight and their row-major (n_dims, K) weights."""
+    nz = np.nonzero(np.any(W != 0, axis=0))[0]
+    return nz.astype(np.int64), np.ascontiguousarray(W[:, nz].T)
+
+
+def sparse_scores(features: pa.ChunkedArray, dims: np.ndarray,
+                  Wc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sums of ``Wc`` rows over each row's hashed feature ids (ids
+    not in ``dims`` weigh 0).  Returns (S (n, K), lens (n,)); rows with no
+    features hold garbage in S and must be masked by ``lens == 0``."""
+    feat_col = features.combine_chunks()
+    offsets = feat_col.offsets.to_numpy().astype(np.int64)
+    flat = feat_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
+    bounds = offsets[:-1] - offsets[0]
+    lens = np.diff(offsets)
+    if not (len(flat) and len(dims)):
+        return np.zeros((len(lens), Wc.shape[1]), Wc.dtype), lens
+    # map hashed ids -> compact rows; out-of-vocab ids get weight 0
+    pos = np.searchsorted(dims, flat)
+    pos_c = np.clip(pos, 0, len(dims) - 1)
+    hit = (pos < len(dims)) & (dims[pos_c] == flat)
+    gathered = Wc[pos_c]
+    gathered[~hit] = 0.0
+    if bounds.size and bounds[-1] == gathered.shape[0]:
+        # trailing empty-feature rows make the last reduceat index out of
+        # range; pad one zero row (its segment is masked by lens == 0)
+        gathered = np.vstack(
+            [gathered, np.zeros((1, gathered.shape[1]), gathered.dtype)])
+    return np.add.reduceat(gathered, bounds, axis=0), lens
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +410,10 @@ def build_training_datums(
 class MentionScorer:
     """``map_batches`` callable over PAIRS → per-mention best-label scores.
 
-    Instantiated on the driver with a broadcast weights handle and passed
-    as an INSTANCE to ``map_batches`` → elastic task pool; each worker
-    process fetches the (R, D) weight matrix zero-copy from the object
-    store once (``state.broadcast.fetch`` cache).  Emits only mentions
+    Instantiated on the driver with a broadcast handle to the model's
+    ``LRModel.compact()`` view (an ``LRModel`` also works) and passed as an
+    INSTANCE to ``map_batches`` → elastic task pool; each worker process
+    fetches it once (``state.broadcast.fetch`` cache).  Emits only mentions
     whose best type-compatible relation has p > 0.5
     (OneVsAllRelationExtractor.classifyMentions semantics,
     OneVsAllRelationExtractor.java:81-97); everything else is dropped here,
@@ -383,22 +428,7 @@ class MentionScorer:
         from ..state.broadcast import fetch
 
         model = fetch(self._ref)
-        # compact row-major weights over the NONZERO feature dims only:
-        # after the count-≥5 threshold the (R, D) matrix is ~99% zeros, so
-        # the compact (n_dims, R) table usually fits in L2.  The dense
-        # transposed gather (43 MB private per worker) was measured to
-        # anti-scale 6.8x from 8 → 32 workers (shared-LLC thrash).
-        compact = getattr(model, "_compact", None)
-        if compact is None:
-            nz = np.nonzero(np.any(model.weights != 0, axis=0))[0]
-            Wc = np.ascontiguousarray(model.weights[:, nz].T)  # (n_dims, R)
-            compact = (nz.astype(np.int64), Wc)
-            try:
-                model._compact = compact  # cached per worker process
-            except Exception:
-                pass
-        dims, Wc = compact
-        b = model.bias
+        dims, Wc, b = model.compact() if isinstance(model, LRModel) else model
         n = batch.num_rows
         if n == 0:
             return batch.drop_columns(["features"]).append_column(
@@ -408,30 +438,7 @@ class MentionScorer:
             )
         subj_t = batch.column("subj_type").to_pylist()
         obj_t = batch.column("obj_type").to_pylist()
-        # zero-copy flatten of the list<int64> feature-id column
-        feat_col = batch.column("features").combine_chunks()
-        offsets = feat_col.offsets.to_numpy().astype(np.int64)
-        flat = feat_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        bounds = offsets[:-1] - offsets[0]
-        lens = np.diff(offsets)
-        if len(flat) and len(dims):
-            # map hashed ids -> compact rows; out-of-vocab ids get weight 0
-            pos = np.searchsorted(dims, flat)
-            pos_c = np.clip(pos, 0, len(dims) - 1)
-            hit = (pos < len(dims)) & (dims[pos_c] == flat)
-            gathered = Wc[pos_c]
-            gathered[~hit] = 0.0
-            if bounds.size and bounds[-1] == gathered.shape[0]:
-                # trailing empty-feature rows make the last reduceat index
-                # out of range; pad one zero row (its segment sums to 0 and
-                # is re-zeroed by the lens==0 mask below)
-                gathered = np.vstack(
-                    [gathered,
-                     np.zeros((1, gathered.shape[1]), dtype=gathered.dtype)]
-                )
-            S = np.add.reduceat(gathered, bounds, axis=0)
-        else:
-            S = np.zeros((n, len(b)), dtype=np.float32)
+        S, lens = sparse_scores(batch.column("features"), dims, Wc)
         S = S.astype(np.float64) + b
         S[lens == 0] = 0.0
         masks = np.stack([type_mask(st, ot) for st, ot in zip(subj_t, obj_t)])
@@ -462,7 +469,7 @@ class MentionScorer:
 
 
 # ---------------------------------------------------------------------------
-# Bag aggregation (shuffle #1) — combiner + reducer
+# Bag aggregation — combiner + reducer
 # ---------------------------------------------------------------------------
 # Per-bag label aggregation semantics (OneVsAllRelationExtractor.java:81-97,
 # classifyRelations): sum per-label mention scores over the bag's mentions,
@@ -470,16 +477,42 @@ class MentionScorer:
 #
 # Physical plan: a MAP-SIDE COMBINER collapses each scored batch to one row
 # per (pair, rel) BEFORE the shuffle, then a bucket-keyed reduce merges the
-# partials.  Mention scores are quantized to the SCORE_SCALE grid and summed
-# as int64 — integer addition is associative + commutative, so the result is
-# bit-identical under ANY batch/block partitioning (float partial sums would
-# depend on accumulation order — SURVEY.md §4 "Ordering").
+# partials.  Partials are bucketed by their ENTITY (``subject_buckets``):
+# PAIR_KEY starts with (subj, subj_type), so a pair's partials still meet in
+# one bucket, and that bucket also holds every other bag of the entity — the
+# S7 per-entity consistency pass can run in the same reduce
+# (``pipelines.kg.kg_tail``).  Mention scores are quantized to the
+# SCORE_SCALE grid and summed as int64 — integer addition is associative +
+# commutative, so the result is bit-identical under ANY batch/block
+# partitioning (float partial sums would depend on accumulation order —
+# SURVEY.md §4 "Ordering").
 
 PAIR_KEY = ["subj", "subj_type", "obj", "obj_type"]
 SCORE_SCALE = 1_000_000_000
 _PROV_COLS = ["doc_id", "sent_idx", "subj_begin", "subj_end",
               "obj_begin", "obj_end"]
 _TIE_COLS = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
+_TRIPLE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type",
+                "score"] + _PROV_COLS
+
+
+def subject_buckets(subj, subj_type, n_buckets: int) -> np.ndarray:
+    """The shuffle bucket of each row's entity: crc32 of ``subj`` NUL
+    ``subj_type``, mod ``n_buckets`` (int32).  The one key S6 partials and
+    S7 triples are bucketed by."""
+    return np.fromiter(
+        (zlib.crc32(f"{s}\x00{t}".encode("utf-8", "surrogatepass")) % n_buckets
+         for s, t in zip(subj, subj_type)),
+        np.int32, count=len(subj))
+
+
+def bag_triples(out: pd.DataFrame) -> pa.Table:
+    """A bag reducer's pandas result (``rel`` still named so) → TRIPLES,
+    typed exactly as ``schema.TRIPLES`` declares."""
+    from ..schema import TRIPLES, conform, pd_to_arrow
+
+    return conform(pd_to_arrow(out.rename(columns={"rel": "pred"})
+                               [_TRIPLE_COLS]), TRIPLES)
 
 
 def _combine_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -497,45 +530,26 @@ def _combine_partials(df: pd.DataFrame) -> pd.DataFrame:
 
 def partial_bag_combine(df: pd.DataFrame, n_buckets: int = 64) -> pa.Table:
     """Map-side combiner (the 'pre-aggregate inside map_batches' pattern):
-    one row per (pair, rel) per batch, tagged with the shuffle bucket."""
-    import zlib
-
+    one row per (pair, rel) per batch, tagged with its entity's bucket."""
     from ..schema import pd_to_arrow
 
-    if not len(df):
-        empty = df.iloc[0:0].copy()
-        empty["__bucket"] = pd.Series([], dtype="int32")
-        cols = [c for c in PAIR_KEY + ["rel", "sum_q", "best_q"]
-                + _PROV_COLS + ["__bucket"] if c in empty.columns]
-        return pd_to_arrow(empty[cols])
-    out = _combine_partials(df)
-    bucket = [
-        zlib.crc32("\x00".join(t).encode("utf-8", "surrogatepass")) % n_buckets
-        for t in zip(*(out[c] for c in PAIR_KEY))
-    ]
-    out["__bucket"] = pd.Series(bucket, dtype="int32")
-    return pd_to_arrow(out[PAIR_KEY + ["rel", "sum_q", "best_q"]
-                           + _PROV_COLS + ["__bucket"]])
+    cols = PAIR_KEY + ["rel", "sum_q", "best_q"] + _PROV_COLS
+    out = _combine_partials(df) if len(df) else df.iloc[0:0]
+    out = out[cols].assign(__bucket=subject_buckets(
+        out["subj"], out["subj_type"], n_buckets))
+    return pd_to_arrow(out)
 
 
 def bag_reduce_bucket(df: pd.DataFrame) -> pa.Table:
     """Reduce side: merge partials, then L1-normalize per pair → TRIPLES
     rows with float score = sum_q(rel) / sum_q(pair)."""
-    from ..schema import pd_to_arrow
+    from ..schema import TRIPLES
 
     if not len(df):
-        empty = df.iloc[0:0].drop(columns=["__bucket"], errors="ignore")
-        empty = empty.rename(columns={"rel": "pred"})
-        empty["score"] = pd.Series([], dtype="float64")
-        cols = [c for c in ["subj", "subj_type", "pred", "obj", "obj_type",
-                            "score"] + _PROV_COLS if c in empty.columns]
-        return pd_to_arrow(empty[cols])
+        return TRIPLES.empty_table()
     out = _combine_partials(df.drop(columns=["__bucket"]))
     totals = out.groupby(PAIR_KEY, sort=False)["sum_q"].transform("sum")
-    out["score"] = out["sum_q"] / totals
-    out = out.rename(columns={"rel": "pred"})
-    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "score"] + _PROV_COLS
-    return pd_to_arrow(out[cols])
+    return bag_triples(out.assign(score=out["sum_q"] / totals))
 
 
 # ---------------------------------------------------------------------------
@@ -1081,25 +1095,8 @@ class HoffmannScorer:
             return (out.append_column("rel", pa.array([], pa.string()))
                     .append_column("sum_q", pa.array([], pa.int64()))
                     .append_column("best_q", pa.array([], pa.int64())))
-        feat_col = batch.column("features").combine_chunks()
-        offsets = feat_col.offsets.to_numpy().astype(np.int64)
-        flat = feat_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        bounds = offsets[:-1] - offsets[0]
-        dims = model.dims
-        if len(flat) and len(dims):
-            pos = np.searchsorted(dims, flat)
-            pos_c = np.clip(pos, 0, len(dims) - 1)
-            hit = (pos < len(dims)) & (dims[pos_c] == flat)
-            gathered = np.ascontiguousarray(model.avg_weights.T)[pos_c]
-            gathered[~hit] = 0.0
-            if bounds.size and bounds[-1] == gathered.shape[0]:
-                gathered = np.vstack(
-                    [gathered,
-                     np.zeros((1, n_classes), dtype=gathered.dtype)])
-            S = np.add.reduceat(gathered, bounds, axis=0)
-        else:
-            S = np.zeros((n, n_classes))
-        lens = np.diff(offsets)
+        S, lens = sparse_scores(batch.column("features"), model.dims,
+                                np.ascontiguousarray(model.avg_weights.T))
         S[lens == 0] = 0.0          # featureless → all-zero → NIL via ties
         # argmax with ties to the HIGHER label index (sortPredictions)
         top = n_classes - 1 - np.argmax(S[:, ::-1], axis=1)
@@ -1118,25 +1115,17 @@ def hoffmann_bag_reduce(df: pd.DataFrame) -> pa.Table:
     bestZScores) with its provenance; score = raw averaged-perceptron
     score (unbounded, NOT a probability — documented Hoffmann
     semantics)."""
-    from ..schema import pd_to_arrow
+    from ..schema import TRIPLES
 
     keys = PAIR_KEY + ["rel"]
     if not len(df):
-        empty = df.iloc[0:0].drop(columns=["__bucket"], errors="ignore")
-        empty = empty.rename(columns={"rel": "pred"})
-        empty["score"] = pd.Series([], dtype="float64")
-        cols = [c for c in ["subj", "subj_type", "pred", "obj", "obj_type",
-                            "score"] + _PROV_COLS if c in empty.columns]
-        return pd_to_arrow(empty[cols])
+        return TRIPLES.empty_table()
     df = df.drop(columns=["__bucket"], errors="ignore")
     df = df.sort_values(keys + _TIE_COLS,
                         ascending=[True] * len(keys) + [False] * len(_TIE_COLS),
                         kind="mergesort")
-    out = df.drop_duplicates(keys, keep="first").copy()
-    out["score"] = out["best_q"] / SCORE_SCALE
-    out = out.rename(columns={"rel": "pred"})
-    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "score"] + _PROV_COLS
-    return pd_to_arrow(out[cols])
+    out = df.drop_duplicates(keys, keep="first")
+    return bag_triples(out.assign(score=out["best_q"] / SCORE_SCALE))
 
 
 def train_atleast_once(

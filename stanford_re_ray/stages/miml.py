@@ -38,7 +38,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..relations import RELATION_NAMES
-from .classify import D_FEATURES, _REL_INDEX
+from .classify import (D_FEATURES, _REL_INDEX, compact_weights,
+                       sparse_scores, subject_buckets)
 
 NIL = "_NR"  # RelationMention.UNRELATED analog
 Z_LABELS = list(RELATION_NAMES) + [NIL]
@@ -499,9 +500,7 @@ class MimlScorer:
         model = fetch(self._ref)
         compact = getattr(model, "_compact", None)
         if compact is None:
-            nz = np.nonzero(np.any(model.z_weights != 0, axis=0))[0]
-            Wc = np.ascontiguousarray(model.z_weights[:, nz].T)  # (d, R+1)
-            compact = (nz.astype(np.int64), Wc)
+            compact = compact_weights(model.z_weights)  # (d,), (d, R+1)
             try:
                 model._compact = compact
             except Exception:
@@ -515,24 +514,7 @@ class MimlScorer:
                     .append_column("n_mentions", pa.array([], pa.int64()))
                     .append_column("log1m_q", pa.array([], pa.int64()))
                     .append_column("best_q", pa.array([], pa.int64())))
-        feat_col = batch.column("features").combine_chunks()
-        offsets = feat_col.offsets.to_numpy().astype(np.int64)
-        flat = feat_col.flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-        bounds = offsets[:-1] - offsets[0]
-        lens = np.diff(offsets)
-        if len(flat) and len(dims):
-            pos = np.searchsorted(dims, flat)
-            pos_c = np.clip(pos, 0, len(dims) - 1)
-            hit = (pos < len(dims)) & (dims[pos_c] == flat)
-            gathered = Wc[pos_c]
-            gathered[~hit] = 0.0
-            if bounds.size and bounds[-1] == gathered.shape[0]:
-                gathered = np.vstack(
-                    [gathered,
-                     np.zeros((1, gathered.shape[1]), dtype=gathered.dtype)])
-            S = np.add.reduceat(gathered, bounds, axis=0)
-        else:
-            S = np.zeros((n, len(b)), dtype=np.float64)
+        S, lens = sparse_scores(batch.column("features"), dims, Wc)
         S = S.astype(np.float64) + b
         S[lens == 0] = 0.0
         S = S - S.max(axis=1, keepdims=True)
@@ -559,59 +541,45 @@ class MimlScorer:
         )
 
 
-def _miml_combine(df, n_buckets: int | None):
+def miml_bag_combine(df, n_buckets: int | None):
     """Per-(pair, rel) partial merge: n_mentions and log1m_q add; the best
-    provenance row is the max of (best_q, provenance) — associative."""
-    import pandas as pd
-    import zlib as _z
-
+    provenance row is the max of (best_q, provenance) — associative.  With
+    ``n_buckets`` the rows are tagged with their entity's shuffle bucket
+    (``classify.subject_buckets``), as ``classify.partial_bag_combine``
+    does."""
     from ..schema import pd_to_arrow
 
     keys = _MIML_PAIR_KEY + ["rel"]
     tie = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
-    if not len(df):
-        empty = df.iloc[0:0].copy()
-        if n_buckets is not None and "__bucket" not in empty.columns:
-            empty["__bucket"] = pd.Series([], dtype="int32")
-        return pd_to_arrow(empty)
-    df = df.sort_values(keys + tie,
-                        ascending=[True] * len(keys) + [False] * len(tie),
-                        kind="mergesort")
-    sums = df.groupby(keys, sort=False)[["n_mentions", "log1m_q"]].sum()
-    best = df.drop_duplicates(keys, keep="first").set_index(keys)
-    out = best.drop(columns=["n_mentions", "log1m_q"]).join(sums).reset_index()
+    cols = _MIML_PAIR_KEY + ["rel", "n_mentions", "log1m_q", "best_q"] + _MIML_PROV
+    if len(df):
+        df = df.sort_values(keys + tie,
+                            ascending=[True] * len(keys) + [False] * len(tie),
+                            kind="mergesort")
+        sums = df.groupby(keys, sort=False)[["n_mentions", "log1m_q"]].sum()
+        best = df.drop_duplicates(keys, keep="first").set_index(keys)
+        df = best.drop(columns=["n_mentions", "log1m_q"]).join(sums).reset_index()
+    out = df[cols]
     if n_buckets is not None:
-        bucket = [
-            _z.crc32("\x00".join(t).encode("utf-8", "surrogatepass"))
-            % n_buckets
-            for t in zip(*(out[c] for c in _MIML_PAIR_KEY))
-        ]
-        out["__bucket"] = pd.Series(bucket, dtype="int32")
-    cols = (_MIML_PAIR_KEY + ["rel", "n_mentions", "log1m_q", "best_q"]
-            + _MIML_PROV + (["__bucket"] if n_buckets is not None else []))
-    return pd_to_arrow(out[[c for c in cols if c in out.columns]])
+        out = out.assign(__bucket=subject_buckets(
+            out["subj"], out["subj_type"], n_buckets))
+    return pd_to_arrow(out)
 
 
 def miml_bag_reduce(df, y_weights: np.ndarray, y_bias: np.ndarray,
                     y_features: tuple, threshold: float = 0.5):
     """Bag reduce: merge partials, then apply the y layer per pair —
-    Y_THEN_NOISY_OR output (classifyRelations, :2085-2094)."""
+    Y_THEN_NOISY_OR output (classifyRelations, :2085-2094).  Returns
+    TRIPLES typed as ``schema.TRIPLES`` declares."""
     import pandas as pd
 
-    from ..schema import pd_to_arrow
-
-    def _empty(frame):
-        empty = frame.iloc[0:0].drop(columns=["__bucket"], errors="ignore")
-        empty = empty.rename(columns={"rel": "pred"})
-        empty["score"] = pd.Series([], dtype="float64")
-        cols = [c for c in ["subj", "subj_type", "pred", "obj", "obj_type",
-                            "score"] + _MIML_PROV if c in empty.columns]
-        return pd_to_arrow(empty[cols])
+    from ..schema import TRIPLES
+    from .classify import bag_triples
 
     if not len(df):
-        return _empty(df)
-    merged = _miml_combine(df.drop(columns=["__bucket"], errors="ignore"),
-                           None).to_pandas()
+        return TRIPLES.empty_table()
+    merged = miml_bag_combine(df.drop(columns=["__bucket"], errors="ignore"),
+                              None).to_pandas()
     rows = []
     for _, g in merged.groupby(_MIML_PAIR_KEY, sort=True):
         counts = np.zeros(R + 1, dtype=np.int64)
@@ -630,14 +598,24 @@ def miml_bag_reduce(df, y_weights: np.ndarray, y_bias: np.ndarray,
                 continue
             score = 1.0 - np.exp(rec["log1m_q"] / MIML_LOG_SCALE)
             row = {k: rec[k] for k in _MIML_PAIR_KEY + _MIML_PROV}
-            row["pred"] = rec["rel"]
+            row["rel"] = rec["rel"]
             row["score"] = float(min(max(score, 0.0), 1.0))
             rows.append(row)
     if not rows:
-        return _empty(merged)
-    out = pd.DataFrame(rows)
-    cols = ["subj", "subj_type", "pred", "obj", "obj_type", "score"] + _MIML_PROV
-    return pd_to_arrow(out[cols])
+        return TRIPLES.empty_table()
+    return bag_triples(pd.DataFrame(rows))
+
+
+def miml_bag_reducer(model: MimlModel, threshold: float = 0.5):
+    """``miml_bag_reduce`` bound to ``model``'s y layer: the one-argument
+    bag reducer ``pipelines.kg.bag_stage`` / ``kg_tail`` take.  The y
+    weights are tiny ((R, 3+R) floats) and ride in the reduce closure."""
+    from functools import partial
+
+    return partial(miml_bag_reduce,
+                   y_weights=model.y_weights.astype(np.float64),
+                   y_bias=model.y_bias.astype(np.float64),
+                   y_features=model.y_features, threshold=threshold)
 
 
 def miml_score_stage(pairs, model: MimlModel):
@@ -656,28 +634,15 @@ def miml_score_stage(pairs, model: MimlModel):
 
 
 def miml_bag_stage(scored, model: MimlModel, n_buckets: int = 64,
-                   threshold: float = 0.5, tree_combine_blocks: int = 32):
-    """S6 (MIML variant): map-side combiner → tree-combine round →
-    bucket shuffle → y-layer bag reduce (same shuffle-shrinking shape as
-    ``pipelines.kg.bag_stage``).  The y weights are tiny ((R, 3+R)
-    floats) and ride in the reduce closure."""
-    yw = model.y_weights.astype(np.float64)
-    yb = model.y_bias.astype(np.float64)
-    yf = model.y_features
-    partials = scored.map_batches(
-        lambda df, _n=n_buckets: _miml_combine(df, _n),
-        batch_format="pandas",
-    )
-    if tree_combine_blocks:
-        partials = partials.repartition(tree_combine_blocks).map_batches(
-            lambda df, _n=n_buckets: _miml_combine(
-                df.drop(columns=["__bucket"], errors="ignore"), _n),
-            batch_format="pandas",
-        )
-    return partials.groupby("__bucket").map_groups(
-        lambda g: miml_bag_reduce(g, yw, yb, yf, threshold),
-        batch_format="pandas",
-    )
+                   threshold: float = 0.5):
+    """S6 (MIML variant) on its own: ``pipelines.kg.bag_stage`` with the
+    MIML combiner and the y-layer bag reduce (``kg_tail`` fuses the same
+    reduce with S7)."""
+    from ..pipelines.kg import bag_stage
+
+    return bag_stage(scored, n_buckets=n_buckets,
+                     bag_reduce=miml_bag_reducer(model, threshold),
+                     combine=miml_bag_combine)
 
 
 def classify_bags(model: MimlModel,
