@@ -12,14 +12,17 @@ one lazy Ray Data graph.
 
 Everything streams: no full materialization until the triples.  The only
 wide operations are groupbys keyed on *extracted* records (pairs/triples ≪
-pages — SURVEY.md §7.5 scale posture).  ``bag_stage`` and
+pages — SURVEY.md §7.5 scale posture).  The S6/S7 shuffle is Arrow end to
+end (``_bucket_reduce``): bag partials merge in one sort-and-segment kernel
+(``classify.merge_partials``), the greedy walks one sorted list of row
+dicts per bucket, no per-entity DataFrame.  ``bag_stage`` and
 ``consistency_stage`` run S6 and S7 as separate shuffles when composed by
-hand; they share their combiner, reducers and entity bucketing with
-``kg_tail``.
+hand; they share their combiner, reducers and bucketing with ``kg_tail``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 import pyarrow as pa
@@ -30,7 +33,7 @@ import ray.data
 from ..schema import EDGES, NODES, TRIPLES, conform
 from ..stages import canonicalize as canon
 from ..stages.classify import (LRModel, MentionScorer, bag_reduce_bucket,
-                               partial_bag_combine, subject_buckets)
+                               partial_bag_combine, tag_buckets)
 from ..stages.consistency import (MAX_SLOT_LEN, greedy_consistency_bucket,
                                   unary_filter_batch)
 from ..stages.extract import extract_batch, filter_lang
@@ -170,29 +173,12 @@ def score_stage(pairs: ray.data.Dataset, model: LRModel,
 
 
 def _bucket_reduce(ds: ray.data.Dataset, bucket, reduce) -> ray.data.Dataset:
-    """One int-bucket shuffle: ``bucket`` (pandas batch → Arrow with a
-    ``__bucket`` column) map-side, then ``reduce`` (pandas group → Arrow)
-    per bucket."""
-    return ds.map_batches(bucket, batch_format="pandas").groupby(
-        "__bucket").map_groups(reduce, batch_format="pandas")
-
-
-def _greedy_reducer(city_to_country: dict[str, str] | None = None,
-                    enforce_cardinality: bool = True,
-                    enforce_incompatibilities: bool = True,
-                    extra_pass=None,
-                    gibbs_mixing_time: int | None = None):
-    """The S7 per-bucket reduce: per-entity greedy (or Gibbs) consistency,
-    then the optional ``extra_pass``, typed as ``schema.TRIPLES``."""
-    geo = dict(city_to_country) if city_to_country else None
-
-    def reduce(df) -> pa.Table:
-        return conform(greedy_consistency_bucket(
-            df, geo, enforce_cardinality=enforce_cardinality,
-            enforce_incompatibilities=enforce_incompatibilities,
-            extra_pass=extra_pass, gibbs_mixing_time=gibbs_mixing_time),
-            TRIPLES)
-    return reduce
+    """One int-bucket shuffle, Arrow on both sides: ``bucket`` (batch →
+    batch with a ``__bucket`` column) map-side, then ``reduce`` (one
+    bucket's group → ``schema.TRIPLES``) per bucket.  Ray skips the reduce
+    on an empty sort partition and emits a column-less Arrow block."""
+    return ds.map_batches(bucket, batch_format="pyarrow").groupby(
+        "__bucket").map_groups(reduce, batch_format="pyarrow")
 
 
 def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
@@ -205,7 +191,7 @@ def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
     each batch to one row per (pair, rel) and tags it with its entity's
     bucket; one shuffle moves the partials and ``bag_reduce``
     (``bag_reduce_bucket``, ``hoffmann_bag_reduce`` or a
-    ``miml_bag_reducer``; pandas group → Arrow typed as ``schema.TRIPLES``)
+    ``miml_bag_reducer``; Arrow group → Arrow typed as ``schema.TRIPLES``)
     merges them per bucket.  Quantized int64 scores
     keep every merge associative → bit-identical results at any
     parallelism.  ``kg_tail`` runs the same reduce fused with S7.
@@ -231,7 +217,7 @@ def consistency_stage(triples: ray.data.Dataset,
                       est_rows: int | None = None,
                       ) -> ray.data.Dataset:
     """S7 on its own: unary filters/rewrites map-side, then entity-local
-    greedy consistency (bucketed by ``subject_buckets``; greedy remains
+    greedy consistency (bucketed by ``tag_buckets``; greedy remains
     per-entity inside; optional gazetteer geo-consistency via
     ``city_to_country``; optional ``extra_pass`` = pass-2 chain, e.g.
     ``consistency.pass2_chain()``).  ``n_buckets`` size-derived from
@@ -242,16 +228,13 @@ def consistency_stage(triples: ray.data.Dataset,
     n = resolve_n_buckets(n_buckets, est_rows)
     msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        t = unary_filter_batch(batch, max_slot_len=msl)
-        return t.append_column("__bucket", pa.array(subject_buckets(
-            t.column("subj").to_pylist(), t.column("subj_type").to_pylist(),
-            n)))
-
-    bucketed = triples.map_batches(bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(_greedy_reducer(
-        city_to_country, enforce_cardinality, enforce_incompatibilities,
-        extra_pass, gibbs_mixing_time), batch_format="pandas")
+    return _bucket_reduce(
+        triples,
+        lambda batch: tag_buckets(unary_filter_batch(batch, msl), n),
+        partial(greedy_consistency_bucket, city_to_country=city_to_country,
+                enforce_cardinality=enforce_cardinality,
+                enforce_incompatibilities=enforce_incompatibilities,
+                extra_pass=extra_pass, gibbs_mixing_time=gibbs_mixing_time))
 
 
 def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
@@ -260,7 +243,7 @@ def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
             **greedy) -> ray.data.Dataset:
     """S6 + S7 in ONE shuffle: scored mentions → consistent TRIPLES.
 
-    The bag partials are bucketed by entity (``subject_buckets``), and
+    The bag partials are bucketed by entity (``tag_buckets``), and
     PAIR_KEY starts with the entity, so one bucket holds every bag of each
     of its entities.  One ``map_groups`` then runs, per bucket, the bag
     reduce (``bag_reduce``: ``bag_reduce_bucket``, ``hoffmann_bag_reduce``
@@ -274,11 +257,9 @@ def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
 
     n = resolve_n_buckets(n_buckets, est_rows)
     msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
-    greedy_reduce = _greedy_reducer(**greedy)
-
-    def reduce(g) -> pa.Table:
-        cands = unary_filter_batch(bag_reduce(g), max_slot_len=msl)
-        return greedy_reduce(cands.to_pandas())
+    def reduce(g: pa.Table) -> pa.Table:
+        return greedy_consistency_bucket(
+            unary_filter_batch(bag_reduce(g), msl), **greedy)
 
     return _bucket_reduce(scored, lambda df: combine(df, n), reduce)
 

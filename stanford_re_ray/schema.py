@@ -159,6 +159,14 @@ def pd_to_arrow(df) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
 
+def untagged(batch) -> pa.Table:
+    """A shuffle group or batch as Arrow without its ``__bucket`` tag.
+    Reducers run on Arrow groups; a pandas DataFrame (direct callers and
+    the single-process benchmark kernels pass them) is converted first."""
+    t = batch if isinstance(batch, pa.Table) else pd_to_arrow(batch)
+    return t.drop_columns(["__bucket"]) if "__bucket" in t.column_names else t
+
+
 def str_lists(table: pa.Table, name: str) -> list:
     """``table.column(name).to_pylist()`` for a list<string> column, ~6x
     faster on token-like data: the flat values are dictionary-encoded so

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..relations import RELATION_NAMES, RELATION_BY_NAME
 
@@ -477,7 +478,7 @@ class MentionScorer:
 #
 # Physical plan: a MAP-SIDE COMBINER collapses each scored batch to one row
 # per (pair, rel) BEFORE the shuffle, then a bucket-keyed reduce merges the
-# partials.  Partials are bucketed by their ENTITY (``subject_buckets``):
+# partials.  Partials are bucketed by their ENTITY (``tag_buckets``):
 # PAIR_KEY starts with (subj, subj_type), so a pair's partials still meet in
 # one bucket, and that bucket also holds every other bag of the entity — the
 # S7 per-entity consistency pass can run in the same reduce
@@ -486,70 +487,91 @@ class MentionScorer:
 # commutative, so the result is bit-identical under ANY batch/block
 # partitioning (float partial sums would depend on accumulation order —
 # SURVEY.md §4 "Ordering").
+#
+# Every combiner and reducer (LR, Hoffmann, MIML) is Arrow in and out and
+# merges through ONE kernel, ``merge_partials``: one sort, segment starts
+# from adjacent-key inequality, ``np.add.reduceat`` per summed column.
 
 PAIR_KEY = ["subj", "subj_type", "obj", "obj_type"]
 SCORE_SCALE = 1_000_000_000
 _PROV_COLS = ["doc_id", "sent_idx", "subj_begin", "subj_end",
               "obj_begin", "obj_end"]
 _TIE_COLS = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
-_TRIPLE_COLS = ["subj", "subj_type", "pred", "obj", "obj_type",
-                "score"] + _PROV_COLS
+_BAG_KEY = PAIR_KEY + ["rel"]
 
 
-def subject_buckets(subj, subj_type, n_buckets: int) -> np.ndarray:
-    """The shuffle bucket of each row's entity: crc32 of ``subj`` NUL
-    ``subj_type``, mod ``n_buckets`` (int32).  The one key S6 partials and
-    S7 triples are bucketed by."""
-    return np.fromiter(
-        (zlib.crc32(f"{s}\x00{t}".encode("utf-8", "surrogatepass")) % n_buckets
-         for s, t in zip(subj, subj_type)),
-        np.int32, count=len(subj))
+def tag_buckets(t: pa.Table, n_buckets: int) -> pa.Table:
+    """``t`` with its entity's shuffle bucket appended as ``__bucket``:
+    crc32 of ``subj`` NUL ``subj_type``, mod ``n_buckets`` (int32) — the
+    one key S6 partials and S7 triples are bucketed by."""
+    ents = zip(t.column("subj").to_pylist(), t.column("subj_type").to_pylist())
+    return t.append_column("__bucket", pa.array(np.fromiter(
+        (zlib.crc32(f"{s}\x00{ty}".encode("utf-8", "surrogatepass"))
+         % n_buckets for s, ty in ents), np.int32, count=t.num_rows)))
 
 
-def bag_triples(out: pd.DataFrame) -> pa.Table:
-    """A bag reducer's pandas result (``rel`` still named so) → TRIPLES,
-    typed exactly as ``schema.TRIPLES`` declares."""
-    from ..schema import TRIPLES, conform, pd_to_arrow
+def segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Row offsets where ``keys`` change in a non-empty key-sorted table."""
+    new = np.zeros(t.num_rows, bool)
+    new[0] = True
+    for k in keys:
+        c = t.column(k)
+        new[1:] |= pc.not_equal(c.slice(1), c.slice(0, t.num_rows - 1)
+                                ).to_numpy(zero_copy_only=False)
+    return np.flatnonzero(new)
 
-    return conform(pd_to_arrow(out.rename(columns={"rel": "pred"})
-                               [_TRIPLE_COLS]), TRIPLES)
 
-
-def _combine_partials(df: pd.DataFrame) -> pd.DataFrame:
-    """Merge bag partials per (pair, rel): sum_q adds; the best-provenance
-    row is the max of the (best_q, doc_id, sent_idx, spans) tuple — a true
+def merge_partials(batch, sum_cols: list[str]) -> pa.Table:
+    """Merge bag partials (Arrow, or pandas via ``schema.untagged``) per
+    (pair, rel), sorted by it: ``sum_cols`` add; the provenance row is the
+    max of the (best_q, doc_id, sent_idx, spans) tuple — a true
     associative max, so combine rounds compose in any order."""
-    keys = PAIR_KEY + ["rel"]
-    df = df.sort_values(keys + _TIE_COLS,
-                        ascending=[True] * len(keys) + [False] * len(_TIE_COLS),
-                        kind="mergesort")
-    sums = df.groupby(keys, sort=False)["sum_q"].sum()
-    best = df.drop_duplicates(keys, keep="first").set_index(keys)
-    return best.drop(columns=["sum_q"]).join(sums).reset_index()
+    from ..schema import untagged
+
+    t = untagged(batch)
+    if not t.num_rows:
+        return t
+    order = pc.sort_indices(t, sort_keys=[(k, "ascending") for k in _BAG_KEY]
+                            + [(c, "descending") for c in _TIE_COLS])
+    starts = segment_starts(t.select(_BAG_KEY).take(order), _BAG_KEY)
+    best = t.take(order.take(pa.array(starts)))
+    idx = order.to_numpy()
+    for c in sum_cols:
+        sums = np.add.reduceat(t.column(c).to_numpy()[idx], starts)
+        best = best.set_column(best.schema.get_field_index(c), c,
+                               pa.array(sums, t.schema.field(c).type))
+    return best
 
 
-def partial_bag_combine(df: pd.DataFrame, n_buckets: int = 64) -> pa.Table:
+def bag_triples(merged: pa.Table, score) -> pa.Table:
+    """Merged bag rows (``rel`` still named so) and their float ``score``
+    → TRIPLES, typed exactly as ``schema.TRIPLES`` declares."""
+    from ..schema import TRIPLES, conform
+
+    t = merged.append_column("score", pa.array(score, pa.float64()))
+    return conform(t.rename_columns(
+        ["pred" if c == "rel" else c for c in t.column_names]), TRIPLES)
+
+
+def partial_bag_combine(batch, n_buckets: int = 64) -> pa.Table:
     """Map-side combiner (the 'pre-aggregate inside map_batches' pattern):
     one row per (pair, rel) per batch, tagged with its entity's bucket."""
-    from ..schema import pd_to_arrow
-
-    cols = PAIR_KEY + ["rel", "sum_q", "best_q"] + _PROV_COLS
-    out = _combine_partials(df) if len(df) else df.iloc[0:0]
-    out = out[cols].assign(__bucket=subject_buckets(
-        out["subj"], out["subj_type"], n_buckets))
-    return pd_to_arrow(out)
+    cols = _BAG_KEY + ["sum_q", "best_q"] + _PROV_COLS
+    return tag_buckets(merge_partials(batch, ["sum_q"]).select(cols),
+                       n_buckets)
 
 
-def bag_reduce_bucket(df: pd.DataFrame) -> pa.Table:
+def bag_reduce_bucket(group) -> pa.Table:
     """Reduce side: merge partials, then L1-normalize per pair → TRIPLES
     rows with float score = sum_q(rel) / sum_q(pair)."""
-    from ..schema import TRIPLES
-
-    if not len(df):
-        return TRIPLES.empty_table()
-    out = _combine_partials(df.drop(columns=["__bucket"]))
-    totals = out.groupby(PAIR_KEY, sort=False)["sum_q"].transform("sum")
-    return bag_triples(out.assign(score=out["sum_q"] / totals))
+    out = merge_partials(group, ["sum_q"])
+    if not out.num_rows:
+        return bag_triples(out, [])
+    sum_q = out.column("sum_q").to_numpy()
+    pairs = segment_starts(out, PAIR_KEY)
+    totals = np.repeat(np.add.reduceat(sum_q, pairs),
+                       np.diff(np.append(pairs, len(sum_q))))
+    return bag_triples(out, sum_q / totals)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,23 +1131,16 @@ class HoffmannScorer:
                 .append_column("best_q", pa.array(q)))
 
 
-def hoffmann_bag_reduce(df: pd.DataFrame) -> pa.Table:
+def hoffmann_bag_reduce(group) -> pa.Table:
     """Reduce side of the Hoffmann bag stage: per (pair, rel) keep the
     MAX-score mention (deterministic OR over the bag — classifyMentions'
     bestZScores) with its provenance; score = raw averaged-perceptron
     score (unbounded, NOT a probability — documented Hoffmann
     semantics)."""
-    from ..schema import TRIPLES
-
-    keys = PAIR_KEY + ["rel"]
-    if not len(df):
-        return TRIPLES.empty_table()
-    df = df.drop(columns=["__bucket"], errors="ignore")
-    df = df.sort_values(keys + _TIE_COLS,
-                        ascending=[True] * len(keys) + [False] * len(_TIE_COLS),
-                        kind="mergesort")
-    out = df.drop_duplicates(keys, keep="first")
-    return bag_triples(out.assign(score=out["best_q"] / SCORE_SCALE))
+    out = merge_partials(group, [])
+    if not out.num_rows:
+        return bag_triples(out, [])
+    return bag_triples(out, out.column("best_q").to_numpy() / SCORE_SCALE)
 
 
 def train_atleast_once(

@@ -11,8 +11,10 @@ Rebuilt from the reference's consistency engine (SURVEY.md §2.8):
   * slot-value rewrites — Timex padding (``1983`` → ``1983-XX-XX``), number
     extraction, URL base extraction
     (HeuristicSlotfillPostProcessors.java:186-241, 298-367);
-- global pass (``triples.groupby(subj_key).map_groups``; entity-local, the
-  greedy set is bounded by fills-per-entity — SURVEY.md §2.8 mapping):
+- global pass (``greedy_consistency_bucket``, the Arrow reduce of a
+  shuffle keyed by ``classify.tag_buckets``: each entity's run of sorted
+  row dicts through ``entity_fills`` — entity-local, the greedy set is
+  bounded by fills-per-entity, SURVEY.md §2.8 mapping):
   * canonical KBPSlotFill ordering — score desc, slot-token-count desc,
     name-length desc, lexicographic (KBPSlotFill.compareTo,
     KBPSlotFill.java:58-80);
@@ -30,6 +32,7 @@ Rebuilt from the reference's consistency engine (SURVEY.md §2.8):
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 import pandas as pd
 import pyarrow as pa
@@ -176,46 +179,60 @@ def geo_filter(rows: list[dict], city_to_country: dict[str, str]) -> list[dict]:
     return [r for r in rows if id(r) not in drop]
 
 
-def greedy_consistency_bucket(df: pd.DataFrame,
+def greedy_consistency_bucket(group,
                               city_to_country: dict[str, str] | None = None,
                               enforce_cardinality: bool = True,
                               enforce_incompatibilities: bool = True,
                               extra_pass=None,
                               gibbs_mixing_time: int | None = None,
-                              ) -> pd.DataFrame:
-    """Bucketed wrapper: one Ray group = one hash bucket of subjects; the
-    per-entity greedy runs in a plain loop inside (same semantics, ~B Ray
-    groups instead of one per entity).  ``extra_pass`` (a
-    ``list[dict] -> list[dict]`` like ``pass2_chain()``) runs per entity
-    AFTER the greedy pass — the finalConsistencyAndProvenancePass slot.
-    ``gibbs_mixing_time`` switches the per-entity filter to the
-    GibbsObjective.SUM sampler."""
-    from ..schema import pd_to_arrow
+                              ) -> pa.Table:
+    """The S7 reduce over one hash bucket of subjects (Arrow or pandas in,
+    TRIPLES out): each row becomes a dict once, ONE sort orders them by
+    entity then ``_fill_sort_key``, and each entity's run goes through
+    ``entity_fills``.  ``extra_pass`` (a ``list[dict] -> list[dict]`` like
+    ``pass2_chain()``) runs per entity after it — the
+    finalConsistencyAndProvenancePass slot; it may add or rewrite fills,
+    so its output is rebuilt from the dicts instead of taken by index."""
+    from ..schema import TRIPLES, conform, untagged
 
-    if not len(df):
-        return pd_to_arrow(df.iloc[0:0].drop(columns=["__bucket"],
-                                             errors="ignore"))
-    df = df.drop(columns=["__bucket"], errors="ignore")
-    outs = []
-    for _, g in df.groupby(["subj", "subj_type"], sort=True):
-        if gibbs_mixing_time:
-            o = gibbs_consistency(
-                g, mixing_time=gibbs_mixing_time,
-                city_to_country=city_to_country,
-                enforce_cardinality=enforce_cardinality,
-                enforce_incompatibilities=enforce_incompatibilities)
-        else:
-            o = greedy_consistency(
-                g, city_to_country,
-                enforce_cardinality=enforce_cardinality,
-                enforce_incompatibilities=enforce_incompatibilities)
-        if extra_pass is not None and len(o):
-            rows = extra_pass(o.to_dict("records"))
-            o = (pd.DataFrame(rows, columns=list(g.columns))
-                 if rows else o.iloc[0:0])
-        if len(o):
-            outs.append(o)
-    return pd_to_arrow(pd.concat(outs, ignore_index=True) if outs else df.iloc[0:0])
+    t = untagged(group)
+    if not t.num_rows:
+        return TRIPLES.empty_table()
+    rows = t.to_pylist()
+    order = sorted(range(len(rows)), key=lambda i: (
+        rows[i]["subj"], rows[i]["subj_type"], _fill_sort_key(rows[i])))
+    kept: list[dict] = []
+    for _, run in groupby(order, key=lambda i: (rows[i]["subj"],
+                                                 rows[i]["subj_type"])):
+        out = entity_fills([rows[i] for i in run], city_to_country,
+                           enforce_cardinality, enforce_incompatibilities,
+                           gibbs_mixing_time)
+        if extra_pass is not None and out:
+            out = extra_pass(out)
+        kept.extend(out)
+    if extra_pass is not None:
+        return conform(pa.Table.from_pylist(kept, schema=t.schema), TRIPLES)
+    position = {id(r): i for i, r in enumerate(rows)}
+    return conform(t.take(pa.array([position[id(r)] for r in kept],
+                                   pa.int64())), TRIPLES)
+
+
+def entity_fills(rows: list[dict],
+                 city_to_country: dict[str, str] | None = None,
+                 enforce_cardinality: bool = True,
+                 enforce_incompatibilities: bool = True,
+                 gibbs_mixing_time: int | None = None) -> list[dict]:
+    """One entity's consistent fills (row dicts in ``_fill_sort_key``
+    order → the kept ones, in that order): the gazetteer geo filter, then
+    the greedy enable — or, with ``gibbs_mixing_time``, the Gibbs SUM
+    sampler."""
+    if city_to_country:
+        rows = geo_filter(rows, city_to_country)
+    checks = (enforce_cardinality, enforce_incompatibilities)
+    enabled = (_gibbs_enable(rows, gibbs_mixing_time, *checks)
+               if gibbs_mixing_time
+               else _enable_in_order(rows, range(len(rows)), *checks))
+    return [rows[i] for i in enabled]
 
 
 def _enable_in_order(rows: list[dict], order,
@@ -272,32 +289,30 @@ def greedy_consistency(group: pd.DataFrame,
                        city_to_country: dict[str, str] | None = None,
                        enforce_cardinality: bool = True,
                        enforce_incompatibilities: bool = True,
+                       gibbs_mixing_time: int | None = None,
                        ) -> pd.DataFrame:
-    """Entity-local greedy filter — ``groupby([subj, subj_type])
-    .map_groups(greedy_consistency, batch_format="pandas")``."""
-    rows = group.to_dict("records")
-    rows.sort(key=_fill_sort_key)
-    if city_to_country:
-        rows = geo_filter(rows, city_to_country)
-    enabled = _enable_in_order(rows, range(len(rows)),
-                               enforce_cardinality,
-                               enforce_incompatibilities)
-    out = [rows[i] for i in enabled]
+    """``entity_fills`` over one entity's fills as a DataFrame."""
+    rows = sorted(group.to_dict("records"), key=_fill_sort_key)
+    out = entity_fills(rows, city_to_country, enforce_cardinality,
+                       enforce_incompatibilities, gibbs_mixing_time)
     return pd.DataFrame(out, columns=group.columns) if out else group.iloc[0:0]
 
 
-def gibbs_consistency(group: pd.DataFrame,
-                      mixing_time: int = 1000,
-                      city_to_country: dict[str, str] | None = None,
-                      enforce_cardinality: bool = True,
-                      enforce_incompatibilities: bool = True,
-                      ) -> pd.DataFrame:
-    """GibbsObjective.SUM global filter — the pass the default TOP
-    objective skips (HeuristicSlotfillPostProcessor.filterStep:223-296;
-    Props.TEST_CONSISTENCY_MIXINGTIME=1000, Props.java:249-250):
-    greedy init in canonical order, then ``mixing_time`` random-restart
-    sweeps, each greedily enabling slots in a shuffled order; the active
-    set maximizing Σ score wins.
+def gibbs_consistency(group: pd.DataFrame, mixing_time: int = 1000,
+                      **kw) -> pd.DataFrame:
+    """The GibbsObjective.SUM filter over one entity's DataFrame."""
+    return greedy_consistency(group, gibbs_mixing_time=mixing_time, **kw)
+
+
+def _gibbs_enable(rows: list[dict], mixing_time: int,
+                  enforce_cardinality: bool = True,
+                  enforce_incompatibilities: bool = True) -> list[int]:
+    """GibbsObjective.SUM — the pass the default TOP objective skips
+    (HeuristicSlotfillPostProcessor.filterStep:223-296;
+    Props.TEST_CONSISTENCY_MIXINGTIME=1000, Props.java:249-250): greedy
+    init in canonical order, then ``mixing_time`` random-restart sweeps,
+    each greedily enabling slots in a shuffled order; the active set
+    maximizing Σ score wins (its indices into ``rows``, ascending).
 
     Determinism (repo policy): the reference's ``Random(42)`` shuffle is
     replaced by per-sweep orders from content hashes (crc32 of sweep
@@ -305,15 +320,10 @@ def gibbs_consistency(group: pd.DataFrame,
     the objective keep the earlier sweep's set."""
     import zlib as _z
 
-    rows = group.to_dict("records")
-    rows.sort(key=_fill_sort_key)
-    if city_to_country:
-        rows = geo_filter(rows, city_to_country)
     n = len(rows)
-    base = _enable_in_order(rows, range(n), enforce_cardinality,
-                            enforce_incompatibilities)
-    best_set = base
-    best_obj = sum(rows[i]["score"] for i in base)
+    best_set = _enable_in_order(rows, range(n), enforce_cardinality,
+                                enforce_incompatibilities)
+    best_obj = sum(rows[i]["score"] for i in best_set)
     slot_keys = [
         f"{r['pred']}\x00{r['obj']}\x00{r.get('doc_id', '')}\x00{i}"
         for i, r in enumerate(rows)
@@ -328,8 +338,7 @@ def gibbs_consistency(group: pd.DataFrame,
         obj = sum(rows[i]["score"] for i in en)
         if obj > best_obj + 1e-12:
             best_obj, best_set = obj, en
-    out = [rows[i] for i in sorted(best_set)]
-    return pd.DataFrame(out, columns=group.columns) if out else group.iloc[0:0]
+    return sorted(best_set)
 
 
 # ---------------------------------------------------------------------------

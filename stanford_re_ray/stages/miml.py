@@ -38,8 +38,9 @@ import numpy as np
 import pyarrow as pa
 
 from ..relations import RELATION_NAMES
-from .classify import (D_FEATURES, _REL_INDEX, compact_weights,
-                       sparse_scores, subject_buckets)
+from .classify import (D_FEATURES, PAIR_KEY, _PROV_COLS, _REL_INDEX,
+                       bag_triples, compact_weights, merge_partials,
+                       segment_starts, sparse_scores, tag_buckets)
 
 NIL = "_NR"  # RelationMention.UNRELATED analog
 Z_LABELS = list(RELATION_NAMES) + [NIL]
@@ -120,6 +121,16 @@ class MimlModel:
         import pyarrow.parquet as pq
 
         return MimlModel.from_table(pq.read_table(path))
+
+    def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scoring view ``(dims, Wc, z_bias)``, built once and cached,
+        that ``miml_score_stage`` broadcasts instead of the 45 MB dense
+        z-weights (as ``classify.LRModel.compact``)."""
+        c = self.__dict__.get("_compact")
+        if c is None:
+            c = self._compact = (*compact_weights(self.z_weights),
+                                 self.z_bias)
+        return c
 
 
 def y_feature_vector(y_idx: int, z_counts: np.ndarray,
@@ -480,16 +491,16 @@ def train_mimlre(
 
 MIML_LOG_SCALE = 1_000_000_000
 
-_MIML_PAIR_KEY = ["subj", "subj_type", "obj", "obj_type"]
-_MIML_PROV = ["doc_id", "sent_idx", "subj_begin", "subj_end",
-              "obj_begin", "obj_end"]
+_MIML_SUMS = ["n_mentions", "log1m_q"]
+_MIML_COLS = PAIR_KEY + ["rel"] + _MIML_SUMS + ["best_q"] + _PROV_COLS
 
 
 class MimlScorer:
     """map_batches over PAIRS → per-mention z* rows (non-NIL only).
 
-    Task-pool instance with a broadcast model handle; the compact z-weight
-    gather is cached per worker process (same pattern as MentionScorer)."""
+    Task-pool instance with a broadcast handle to the model's
+    ``MimlModel.compact()`` view (a ``MimlModel`` also works), fetched once
+    per worker process (same pattern as MentionScorer)."""
 
     def __init__(self, model_ref):
         self._ref = model_ref
@@ -498,15 +509,8 @@ class MimlScorer:
         from ..state.broadcast import fetch
 
         model = fetch(self._ref)
-        compact = getattr(model, "_compact", None)
-        if compact is None:
-            compact = compact_weights(model.z_weights)  # (d,), (d, R+1)
-            try:
-                model._compact = compact
-            except Exception:
-                pass
-        dims, Wc = compact
-        b = model.z_bias.astype(np.float64)
+        dims, Wc, b = (model.compact() if isinstance(model, MimlModel)
+                       else model)
         n = batch.num_rows
         if n == 0:
             out = batch.drop_columns(["features"])
@@ -541,69 +545,46 @@ class MimlScorer:
         )
 
 
-def miml_bag_combine(df, n_buckets: int | None):
-    """Per-(pair, rel) partial merge: n_mentions and log1m_q add; the best
-    provenance row is the max of (best_q, provenance) — associative.  With
-    ``n_buckets`` the rows are tagged with their entity's shuffle bucket
-    (``classify.subject_buckets``), as ``classify.partial_bag_combine``
-    does."""
-    from ..schema import pd_to_arrow
-
-    keys = _MIML_PAIR_KEY + ["rel"]
-    tie = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
-    cols = _MIML_PAIR_KEY + ["rel", "n_mentions", "log1m_q", "best_q"] + _MIML_PROV
-    if len(df):
-        df = df.sort_values(keys + tie,
-                            ascending=[True] * len(keys) + [False] * len(tie),
-                            kind="mergesort")
-        sums = df.groupby(keys, sort=False)[["n_mentions", "log1m_q"]].sum()
-        best = df.drop_duplicates(keys, keep="first").set_index(keys)
-        df = best.drop(columns=["n_mentions", "log1m_q"]).join(sums).reset_index()
-    out = df[cols]
-    if n_buckets is not None:
-        out = out.assign(__bucket=subject_buckets(
-            out["subj"], out["subj_type"], n_buckets))
-    return pd_to_arrow(out)
+def miml_bag_combine(batch, n_buckets: int) -> pa.Table:
+    """Map-side per-(pair, rel) partial merge (``classify.merge_partials``):
+    n_mentions and log1m_q add; the best provenance row is the max of
+    (best_q, provenance) — associative.  Rows are tagged with their
+    entity's shuffle bucket, as ``classify.partial_bag_combine`` does."""
+    return tag_buckets(merge_partials(batch, _MIML_SUMS).select(_MIML_COLS),
+                       n_buckets)
 
 
-def miml_bag_reduce(df, y_weights: np.ndarray, y_bias: np.ndarray,
-                    y_features: tuple, threshold: float = 0.5):
+def miml_bag_reduce(group, y_weights: np.ndarray, y_bias: np.ndarray,
+                    y_features: tuple, threshold: float = 0.5) -> pa.Table:
     """Bag reduce: merge partials, then apply the y layer per pair —
     Y_THEN_NOISY_OR output (classifyRelations, :2085-2094).  Returns
     TRIPLES typed as ``schema.TRIPLES`` declares."""
-    import pandas as pd
-
-    from ..schema import TRIPLES
-    from .classify import bag_triples
-
-    if not len(df):
-        return TRIPLES.empty_table()
-    merged = miml_bag_combine(df.drop(columns=["__bucket"], errors="ignore"),
-                              None).to_pandas()
-    rows = []
-    for _, g in merged.groupby(_MIML_PAIR_KEY, sort=True):
+    merged = merge_partials(group, _MIML_SUMS)
+    if not merged.num_rows:
+        return bag_triples(merged, [])
+    rels = merged.column("rel").to_pylist()
+    n_mentions = merged.column("n_mentions").to_pylist()
+    log1m_q = merged.column("log1m_q").to_pylist()
+    bounds = np.append(segment_starts(merged, PAIR_KEY), len(rels))
+    keep: list[int] = []
+    scores: list[float] = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         counts = np.zeros(R + 1, dtype=np.int64)
         rel_rows = {}
-        for rec in g.to_dict("records"):
-            j = _REL_INDEX.get(rec["rel"])
-            if j is None:
-                continue
-            counts[j] = rec["n_mentions"]
-            rel_rows[j] = rec
-        for j, rec in sorted(rel_rows.items()):
+        for i in range(lo, hi):
+            j = _REL_INDEX.get(rels[i])
+            if j is not None:
+                counts[j] = n_mentions[i]
+                rel_rows[j] = i
+        for j, i in sorted(rel_rows.items()):
             v = y_feature_vector(j, counts, y_features)
             s = float(y_weights[j] @ v + y_bias[j])
-            p_y = 1.0 / (1.0 + np.exp(-s))
-            if p_y <= threshold:
+            if 1.0 / (1.0 + np.exp(-s)) <= threshold:
                 continue
-            score = 1.0 - np.exp(rec["log1m_q"] / MIML_LOG_SCALE)
-            row = {k: rec[k] for k in _MIML_PAIR_KEY + _MIML_PROV}
-            row["rel"] = rec["rel"]
-            row["score"] = float(min(max(score, 0.0), 1.0))
-            rows.append(row)
-    if not rows:
-        return TRIPLES.empty_table()
-    return bag_triples(pd.DataFrame(rows))
+            score = 1.0 - np.exp(log1m_q[i] / MIML_LOG_SCALE)
+            keep.append(i)
+            scores.append(float(min(max(score, 0.0), 1.0)))
+    return bag_triples(merged.take(pa.array(keep, pa.int64())), scores)
 
 
 def miml_bag_reducer(model: MimlModel, threshold: float = 0.5):
@@ -619,11 +600,11 @@ def miml_bag_reducer(model: MimlModel, threshold: float = 0.5):
 
 
 def miml_score_stage(pairs, model: MimlModel):
-    """S5 (MIML variant): broadcast the model once, score mentions, drop
-    NIL before the shuffle."""
+    """S5 (MIML variant): broadcast the model's compact ``(dims, Wc,
+    z_bias)`` view, score mentions, drop NIL before the shuffle."""
     import ray
 
-    model_ref = ray.put(model)
+    model_ref = ray.put(model.compact())
     # batch_size doubles as min_rows_per_bundled_input and the MAX across
     # a fused chain wins (see pipelines.kg.MAP_BATCH_SIZE) — 1024 here
     # would re-coalesce the whole fused S1-S5 chain into few tasks

@@ -175,3 +175,119 @@ def test_gibbs_sum_objective_beats_greedy_trap():
     # deterministic across calls
     again = gibbs_consistency(rows, mixing_time=50)
     assert gibbs.reset_index(drop=True).equals(again.reset_index(drop=True))
+
+
+def _bucket_fills() -> pa.Table:
+    """One shuffle bucket of several entities (two share a name but not a
+    type), after the unary pass: random fills plus a geo conflict and a
+    rewrite collision ('1983' and '1983-XX-XX' under one slot)."""
+    import random
+
+    rnd = random.Random(7)
+    ents = [("Ann Lee", "PERSON"), ("Zoë Brandt", "PERSON"),
+            ("Acme", "ORGANIZATION"), ("Acme", "PERSON"), ("李明", "PERSON")]
+    slots = [("per:city_of_birth", ["Paris", "Lyon", "Zürich"], "CITY"),
+             ("per:country_of_birth", ["Germany", "France"], "COUNTRY"),
+             ("per:cities_of_residence", ["Paris", "Osaka", "Lyon"], "CITY"),
+             ("per:spouse", ["Bob Jones", "B. Jones", "Carl Poe"], "PERSON"),
+             ("per:siblings", ["Bob Jones", "Dan Wu"], "PERSON"),
+             ("per:date_of_birth", ["1983", "1983-XX-XX", "May 1983"],
+              "DATE"),
+             ("org:city_of_headquarters", ["Paris", "Osaka"], "CITY"),
+             ("org:country_of_headquarters", ["Germany", "Japan"],
+              "COUNTRY"),
+             ("per:city_of_death", ["Lyon"], "CITY")]
+    rows = []
+    for _ in range(90):
+        subj, subj_type = rnd.choice(ents)
+        pred, objs, obj_type = rnd.choice(slots)
+        rows.append((subj, subj_type, pred, rnd.choice(objs), obj_type,
+                     rnd.choice([0.9, 0.7, 0.5, 0.3, 0.011, 0.005]),
+                     f"d{rnd.randrange(3)}", rnd.randrange(2)))
+    rows += [("Ann Lee", "PERSON", "per:date_of_birth", "1983", "DATE", 0.99,
+              "d9", 0),
+             ("Ann Lee", "PERSON", "per:date_of_birth", "1983-XX-XX", "DATE",
+              0.99, "d1", 0)]
+    # a city and a country the gazetteer disagrees on
+    rows += [("Acme", "ORGANIZATION", "org:city_of_headquarters", "Osaka",
+              "CITY", 0.97, "d2", 1),
+             ("Acme", "ORGANIZATION", "org:country_of_headquarters",
+              "Germany", "COUNTRY", 0.96, "d2", 1)]
+    # the greedy trap the Gibbs SUM objective escapes
+    rows += [("Zoë Brandt", "PERSON", pred, "Eve Hart", "PERSON", q, "d1", 0)
+             for pred, q in (("per:other_family", 0.95),
+                             ("per:alternate_names", 0.6),
+                             ("per:children", 0.6))]
+    rnd.shuffle(rows)
+    cols = list(zip(*rows))
+    t = pa.table({
+        "subj": pa.array(cols[0]), "subj_type": pa.array(cols[1]),
+        "pred": pa.array(cols[2]), "obj": pa.array(cols[3]),
+        "obj_type": pa.array(cols[4]),
+        "score": pa.array(cols[5], pa.float64()),
+        "doc_id": pa.array(cols[6]),
+        "sent_idx": pa.array(cols[7], pa.int32()),
+        "subj_begin": pa.array([0] * len(rows), pa.int32()),
+        "subj_end": pa.array([2] * len(rows), pa.int32()),
+        "obj_begin": pa.array([4] * len(rows), pa.int32()),
+        "obj_end": pa.array([5] * len(rows), pa.int32()),
+    })
+    return unary_filter_batch(t)
+
+
+def _per_entity_oracle(df: pd.DataFrame, city_to_country=None,
+                       extra_pass=None, gibbs_mixing_time=None) -> pa.Table:
+    """The per-entity loop over DataFrames: group by entity (sorted), run
+    the entity filter on each group, then ``extra_pass`` on its records."""
+    from stanford_re_ray.schema import TRIPLES, conform, pd_to_arrow
+    from stanford_re_ray.stages.consistency import gibbs_consistency
+
+    outs = []
+    for _, g in df.groupby(["subj", "subj_type"], sort=True):
+        if gibbs_mixing_time:
+            o = gibbs_consistency(g, mixing_time=gibbs_mixing_time,
+                                  city_to_country=city_to_country)
+        else:
+            o = greedy_consistency(g, city_to_country)
+        if extra_pass is not None and len(o):
+            o = pd.DataFrame(extra_pass(o.to_dict("records")),
+                             columns=list(g.columns))
+        outs.append(o)
+    return conform(pd_to_arrow(pd.concat(outs, ignore_index=True)), TRIPLES)
+
+
+def test_bucket_greedy_matches_per_entity_oracle():
+    """The one-sort bucket reduce keeps the same rows, in the same order,
+    as the entity-by-entity DataFrame loop, for every S7 variant."""
+    from stanford_re_ray.schema import TRIPLES
+    from stanford_re_ray.stages.consistency import (
+        GeoMaps, greedy_consistency_bucket, pass2_chain)
+
+    fills = _bucket_fills()
+    df = fills.to_pandas()
+    assert df.groupby(["subj", "subj_type"]).ngroups == 5
+    geo = GeoMaps(city_to_state={"Lyon": "Rhône"},
+                  city_to_country={"Paris": "France", "Zürich": "Switzerland"},
+                  country_to_nationality={"France": "French"})
+    variants = [
+        {},
+        {"city_to_country": {"Paris": "France", "Osaka": "Japan"}},
+        {"gibbs_mixing_time": 30},
+        {"extra_pass": pass2_chain(GeoMaps())},
+        {"extra_pass": pass2_chain(geo)},
+    ]
+    default = _per_entity_oracle(df)
+    for kw in variants:
+        want = _per_entity_oracle(df, **kw)
+        assert kw == {} or not want.equals(default), kw
+        for bucket in (fills, df.assign(__bucket=3)):
+            got = greedy_consistency_bucket(bucket, **kw)
+            assert got.schema == TRIPLES
+            assert got.equals(want), kw
+    # the colliding dates: the one kept is the first in canonical order
+    dob = default.filter(pa.compute.and_(
+        pa.compute.equal(default["subj"], "Ann Lee"),
+        pa.compute.equal(default["pred"], "per:date_of_birth")))
+    assert dob["doc_id"].to_pylist() == ["d1"]
+    assert greedy_consistency_bucket(fills.slice(0, 0)).equals(
+        TRIPLES.empty_table())

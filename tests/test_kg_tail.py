@@ -40,51 +40,74 @@ def lr_model(world):
                        epochs=60)
 
 
-def _fused_and_composed(kind, world, lr_model):
-    """(fused triples, composed triples) Datasets for one model kind."""
-    from stanford_re_ray.pipelines import kg
+@pytest.fixture(scope="module")
+def models(world, lr_model):
+    """One trained model per bag reducer kind."""
     from stanford_re_ray.pipelines import train as tr
 
     pages = _blocks(world.pages, 4)
-    pairs = kg.pairs_stage(kg.nlp_stage(kg.extract_stage(pages), world.dicts),
-                           world.clusters).materialize()
     fit = dict(dicts=world.dicts, clusters=world.clusters,
                negative_subsample=1.0)
-    if kind == "lr":
-        fused = kg.run_kg_pipeline(pages, lr_model, dicts=world.dicts,
-                                   clusters=world.clusters)["triples"]
-        composed = kg.bag_stage(kg.score_stage(pairs, lr_model))
-    elif kind == "hoffmann":
-        import ray
+    return {"lr": lr_model,
+            "hoffmann": tr.train_model_hoffmann(pages, world.kb, epochs=5,
+                                                **fit),
+            "miml": tr.train_model_mimlre(pages, world.kb, em_epochs=1,
+                                          z_epochs=30, **fit)}
 
+
+def _scored(kind, pairs, model):
+    """(scored mentions, the matching ``kg_tail`` reducer kwargs)."""
+    import ray
+
+    from stanford_re_ray.pipelines import kg
+
+    if kind == "lr":
+        return kg.score_stage(pairs, model), {}
+    if kind == "hoffmann":
         from stanford_re_ray.stages.classify import (HoffmannScorer,
                                                      hoffmann_bag_reduce)
 
-        model = tr.train_model_hoffmann(pages, world.kb, epochs=5, **fit)
-        fused = kg.run_kg_pipeline_hoffmann(pages, model, dicts=world.dicts,
-                                            clusters=world.clusters)
         scored = pairs.map_batches(HoffmannScorer(ray.put(model)),
                                    batch_format="pyarrow",
                                    batch_size=kg.MAP_BATCH_SIZE)
-        composed = kg.bag_stage(scored, bag_reduce=hoffmann_bag_reduce)
-    else:
-        from stanford_re_ray.stages.miml import (miml_bag_stage,
-                                                 miml_score_stage)
+        return scored, {"bag_reduce": hoffmann_bag_reduce}
+    from stanford_re_ray.stages.miml import (miml_bag_combine,
+                                             miml_bag_reducer,
+                                             miml_score_stage)
 
-        model = tr.train_model_mimlre(pages, world.kb, em_epochs=1,
-                                      z_epochs=30, **fit)
-        fused = kg.run_kg_pipeline_miml(pages, model, dicts=world.dicts,
-                                        clusters=world.clusters)
-        composed = miml_bag_stage(miml_score_stage(pairs, model), model)
+    return miml_score_stage(pairs, model), {
+        "bag_reduce": miml_bag_reducer(model), "combine": miml_bag_combine}
+
+
+def _pairs(world, n_blocks: int):
+    from stanford_re_ray.pipelines import kg
+
+    pages = _blocks(world.pages, n_blocks)
+    return kg.pairs_stage(kg.nlp_stage(kg.extract_stage(pages), world.dicts),
+                          world.clusters).materialize()
+
+
+def _fused_and_composed(kind, world, models):
+    """(fused triples, composed triples) Datasets for one model kind."""
+    from stanford_re_ray.pipelines import kg
+
+    pages = _blocks(world.pages, 4)
+    model = models[kind]
+    run = {"lr": lambda *a, **k: kg.run_kg_pipeline(*a, **k)["triples"],
+           "hoffmann": kg.run_kg_pipeline_hoffmann,
+           "miml": kg.run_kg_pipeline_miml}[kind]
+    fused = run(pages, model, dicts=world.dicts, clusters=world.clusters)
+    scored, tail = _scored(kind, _pairs(world, 4), model)
+    composed = kg.bag_stage(scored, **tail)
     return fused, kg.consistency_stage(composed)
 
 
 @pytest.mark.parametrize("kind", ["lr", "hoffmann", "miml"])
-def test_fused_tail_equals_composed_stages(world, lr_model, kind):
+def test_fused_tail_equals_composed_stages(world, models, kind):
     from stanford_re_ray.pipelines.kg import dataset_to_table
     from stanford_re_ray.schema import TRIPLES
 
-    fused, composed = _fused_and_composed(kind, world, lr_model)
+    fused, composed = _fused_and_composed(kind, world, models)
     got, want = dataset_to_table(fused), dataset_to_table(composed)
     assert got.num_rows > 0
     assert got.schema == TRIPLES and want.schema == TRIPLES
@@ -171,3 +194,33 @@ def test_bag_reducers_emit_typed_empty_tables():
 
     for reduce in (bag_reduce_bucket, hoffmann_bag_reduce):
         assert reduce(pd.DataFrame()).schema == TRIPLES
+
+
+@pytest.mark.parametrize("kind", ["lr", "hoffmann", "miml"])
+def test_tail_blocks_are_typed_arrow(world, models, kind):
+    """Every block the fused tail materializes is an Arrow table; every
+    block with rows is typed as TRIPLES — with the default bucket count
+    and far more buckets than entities (then every block is TRIPLES),
+    and with one bucket over 16 input blocks, where the sort exchange
+    leaves partitions empty.  Ray passes an empty partition through
+    without calling the reducer, as a column-less block of the map
+    side's format: Arrow here (pandas blocks used to appear)."""
+    import ray
+
+    from stanford_re_ray.pipelines import kg
+    from stanford_re_ray.schema import TRIPLES
+
+    # the corpus has at most 120 entities (persons 0-80, orgs 0-40)
+    for n_blocks, n_buckets in ((4, None), (4, 4096), (16, 1)):
+        scored, tail = _scored(kind, _pairs(world, n_blocks), models[kind])
+        ds = kg.kg_tail(scored, n_buckets=n_buckets, **tail).materialize()
+        blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert all(isinstance(b, pa.Table) for b in blocks), n_buckets
+        full = [b for b in blocks if b.num_rows]
+        assert full and all(b.schema == TRIPLES for b in full), n_buckets
+        if n_buckets == 1:
+            assert len(full) < len(blocks)
+        else:
+            assert all(b.schema == TRIPLES for b in blocks), n_buckets
+        assert kg.dataset_to_table(ds).schema == TRIPLES

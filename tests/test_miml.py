@@ -97,3 +97,30 @@ def test_y_feature_semantics():
     counts[r1] = 1
     v = y_feature_vector(r0, counts, ("atleast_once", "cooc", "unique"))
     assert v[1] == 1.0 and v[2] == 0.0 and v[3 + r1] == 1.0
+
+
+def test_scorer_takes_compact_view():
+    """MimlScorer scores identically from the model or its compact
+    ``(dims, Wc, z_bias)`` view — the broadcast payload, a fraction of
+    the pickled dense model."""
+    import pickle
+
+    import pyarrow as pa
+
+    from stanford_re_ray.stages.miml import MimlScorer
+
+    feats, labels, bags = _noisy_world()
+    m = train_mimlre(feats, labels, bags, em_epochs=2)
+    n = 4
+    i32 = pa.array([0] * n, pa.int32())
+    batch = pa.table({
+        "subj": ["A", "B", "C", "D"], "subj_type": ["PERSON"] * n,
+        "obj": ["E", "F", "G", "H"], "obj_type": ["PERSON"] * n,
+        "doc_id": ["d1", "d2", "d3", "d4"], "sent_idx": i32,
+        "subj_begin": i32, "subj_end": i32, "obj_begin": i32, "obj_end": i32,
+        "features": pa.array([[10, 11], [20, 21], [], [10, 99]],
+                             pa.list_(pa.int64()))})
+    got = MimlScorer(m.compact())(batch)
+    assert got.num_rows > 0 and got.equals(MimlScorer(m)(batch))
+    assert m.compact() is m.compact()
+    assert len(pickle.dumps(m.compact())) * 100 < len(pickle.dumps(m))

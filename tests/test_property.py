@@ -1228,3 +1228,117 @@ def test_greedy_coloring_matches_serial(ray_session, raw_edges):
     for s, d in raw_edges:
         if s != d and got.get(s, -2) >= 0:
             assert got[s] != got[d], f"edge ({s},{d}) same-colored"
+
+
+# --- bag merge kernel: Arrow sort-and-segment ≡ the pandas bag merge --------
+
+_BAG_SUBJ = ["Ann", "Zoë Łukasz", "李明", "Ann "]
+_BAG_OBJ = ["Paris", "Zürich", "東京", "1983"]
+_BAG_REL = ["per:city_of_birth", "per:cities_of_residence",
+            "org:city_of_headquarters"]
+_BAG_DOC = ["d1", "d2", "dé"]
+_PARTIAL = st.tuples(
+    st.integers(0, 3), st.integers(0, 1), st.integers(0, 3),
+    st.integers(0, 1), st.integers(0, 2),
+    st.integers(1, 3).map(lambda q: q * 300_000_000),   # best_q: many ties
+    st.integers(1, 5_000_000_000),                      # the summed column
+    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+    st.integers(0, 2))
+
+
+def _partials_table(rows) -> pa.Table:
+    """Scored-mention partials; spans ends are functions of the rest, so
+    rows tied on every tie column carry the same provenance."""
+    cols = list(zip(*rows)) if rows else [()] * 11
+    s, st_, o, ot, r, best, summed, d, si, sb, ob = cols
+    i32 = lambda v: pa.array(v, pa.int32())  # noqa: E731
+    return pa.table({
+        "subj": pa.array([_BAG_SUBJ[i] for i in s], pa.string()),
+        "subj_type": pa.array([["PERSON", "ORGANIZATION"][i] for i in st_],
+                              pa.string()),
+        "obj": pa.array([_BAG_OBJ[i] for i in o], pa.string()),
+        "obj_type": pa.array([["CITY", "DATE"][i] for i in ot], pa.string()),
+        "doc_id": pa.array([_BAG_DOC[i] for i in d], pa.string()),
+        "sent_idx": i32(si),
+        "subj_begin": i32(sb), "subj_end": i32([b + 2 for b in sb]),
+        "obj_begin": i32(ob), "obj_end": i32([b + 1 for b in ob]),
+        "rel": pa.array([_BAG_REL[i] for i in r], pa.string()),
+        "sum_q": pa.array(summed, pa.int64()),
+        "best_q": pa.array(best, pa.int64()),
+        "n_mentions": pa.array([1 + q % 3 for q in summed], pa.int64()),
+        "log1m_q": pa.array([-q for q in summed], pa.int64()),
+    })
+
+
+def _oracle_merge(df: pd.DataFrame, sum_cols: list[str]) -> pd.DataFrame:
+    """The pandas bag merge: sort by (pair, rel) ascending and the tie
+    columns descending, sum ``sum_cols``, keep the first row per key."""
+    from stanford_re_ray.stages.classify import PAIR_KEY, _TIE_COLS
+
+    keys = PAIR_KEY + ["rel"]
+    df = df.sort_values(keys + _TIE_COLS,
+                        ascending=[True] * len(keys) + [False] * len(_TIE_COLS),
+                        kind="mergesort")
+    sums = df.groupby(keys, sort=False)[sum_cols].sum()
+    best = df.drop_duplicates(keys, keep="first").set_index(keys)
+    return best.drop(columns=sum_cols).join(sums).reset_index()
+
+
+def _oracle_triples(out: pd.DataFrame) -> pa.Table:
+    from stanford_re_ray.schema import TRIPLES, conform, pd_to_arrow
+
+    return conform(pd_to_arrow(out.rename(columns={"rel": "pred"})), TRIPLES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_PARTIAL, max_size=40),
+       st.lists(st.integers(0, 40), max_size=4), st.integers(0, 2**32))
+@example(rows=[], cuts=[], seed=0)
+def test_arrow_bag_merge_matches_pandas_oracle(rows, cuts, seed):
+    import random
+    from functools import partial
+
+    from stanford_re_ray.schema import TRIPLES
+    from stanford_re_ray.stages.classify import (PAIR_KEY, SCORE_SCALE,
+                                                 bag_reduce_bucket,
+                                                 hoffmann_bag_reduce,
+                                                 partial_bag_combine)
+    from stanford_re_ray.stages.miml import (_MIML_COLS, R, Y_DIM,
+                                             miml_bag_combine, miml_bag_reduce)
+
+    raw = _partials_table(rows)
+    bounds = sorted({0, raw.num_rows, *(c for c in cuts if c < raw.num_rows)})
+    batches = [raw.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+    def combined(combine):
+        """Each combine batch merged alone (every other one passed as
+        pandas), then the partials shuffled."""
+        parts = [combine(b.to_pandas() if i % 2 else b, 8)
+                 for i, b in enumerate(batches)]
+        t = pa.concat_tables(parts)
+        shuffled = random.Random(seed).sample(range(t.num_rows), t.num_rows)
+        return t.take(pa.array(shuffled, pa.int64()))
+
+    if not rows:
+        miml_reduce = partial(miml_bag_reduce, y_weights=np.zeros((R, Y_DIM)),
+                              y_bias=np.zeros(R), y_features=())
+        for reduce in (bag_reduce_bucket, hoffmann_bag_reduce, miml_reduce):
+            assert reduce(raw).equals(TRIPLES.empty_table())
+            assert reduce(partial_bag_combine(raw, 8)).equals(
+                TRIPLES.empty_table())
+        return
+
+    df = raw.to_pandas()
+    # L1-normalized LR bags
+    out = _oracle_merge(df, ["sum_q"])
+    totals = out.groupby(PAIR_KEY, sort=False)["sum_q"].transform("sum")
+    want = _oracle_triples(out.assign(score=out["sum_q"] / totals))
+    assert bag_reduce_bucket(combined(partial_bag_combine)).equals(want)
+    # Hoffmann: the per-(pair, rel) max row, raw score
+    want = _oracle_triples(out.assign(score=out["best_q"] / SCORE_SCALE))
+    assert hoffmann_bag_reduce(combined(partial_bag_combine)).equals(want)
+    # MIML partial merge: n_mentions and log1m_q add across combine rounds
+    miml = combined(miml_bag_combine)
+    got = miml_bag_combine(miml, 8).drop_columns(["__bucket"])
+    want = _oracle_merge(df[_MIML_COLS], ["n_mentions", "log1m_q"])[_MIML_COLS]
+    assert got.to_pandas().equals(want)
