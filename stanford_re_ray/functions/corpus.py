@@ -29,6 +29,9 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..schema import pd_to_arrow
+from .relational import bucket_reduce, resolve_n_blocks
+
 _WORD_SPLIT_RE = r"[^0-9A-Za-z_]+"
 
 
@@ -196,9 +199,7 @@ def line_dedup(docs: ray.data.Dataset, min_line_chars: int = 30,
     distinct lines; decisions are exact otherwise (no within-group
     re-verify needed).
     """
-    from .relational import hash_join, resolve_n_buckets
-
-    n_buckets = resolve_n_buckets(None, est_rows)
+    from .relational import hash_join
 
     def to_lines(batch: pa.Table) -> pa.Table:
         ids, line_no, lines = _split_lines(batch, text_col, id_col)
@@ -212,31 +213,22 @@ def line_dedup(docs: ray.data.Dataset, min_line_chars: int = 30,
         part = batch.filter(long_mask)
         texts = part.column("line").to_pylist()
         digests = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in texts]
-        bucket = pa.array(
-            [int(d[:8], 16) % n_buckets for d in digests], pa.int32())
         return pa.table({"h": pa.array(digests, pa.string()),
                          id_col: part.column(id_col),
-                         "line_no": part.column("line_no"),
-                         "__bucket": bucket})
+                         "line_no": part.column("line_no")})
 
-    def removals(g: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
-
+    def removals(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h", id_col, "line_no"], kind="mergesort")
         dup = g.duplicated("h", keep="first")
-        return pd_to_arrow(g.loc[dup, [id_col, "line_no"]])
+        return g.loc[dup, [id_col, "line_no"]]
 
-    remove = (
-        lines.map_batches(digest_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(removals, batch_format="pandas")
-    )
+    remove = bucket_reduce(
+        lines.map_batches(digest_partial, batch_format="pyarrow"), "h",
+        removals, est_rows=est_rows, batch_format="pandas")
     kept = hash_join(lines, remove, on=[id_col, "line_no"], how="anti",
                      est_rows=est_rows)
 
     def reassemble(g: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
-
         g = g.sort_values("line_no", kind="mergesort")
         text = "\n".join(g["line"])
         return pd_to_arrow(pd.DataFrame({
@@ -280,9 +272,6 @@ def boilerplate_clean(docs: ray.data.Dataset, max_docs: int,
        shuffle, because lines never left their document.
     """
     from ..state import broadcast as bcast
-    from .relational import resolve_n_buckets
-
-    n_buckets = resolve_n_buckets(None, est_rows)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         ids, _ln, lines = _split_lines(batch, text_col, id_col)
@@ -299,20 +288,15 @@ def boilerplate_clean(docs: ray.data.Dataset, max_docs: int,
         return pa.table({
             "h": pa.array(hs, pa.string()),
             "c": pa.array([counts[h] for h in hs], pa.int64()),
-            "__bucket": pa.array(
-                [int(h[:8], 16) % n_buckets for h in hs], pa.int32()),
         })
 
-    def bucket_sum(g: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
-
+    def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("h", sort=True)["c"].sum().reset_index()
-        return pd_to_arrow(agg.loc[agg["c"] > max_docs, ["h"]])
+        return agg.loc[agg["c"] > max_docs, ["h"]]
 
-    freq = (docs.map_batches(count_partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(bucket_sum,
-                                            batch_format="pandas")
-            .materialize())
+    freq = bucket_reduce(
+        docs.map_batches(count_partial, batch_format="pyarrow"), "h",
+        bucket_sum, est_rows=est_rows, batch_format="pandas").materialize()
     n_freq = freq.count()
     if n_freq > broadcast_limit:
         raise ValueError(
@@ -369,23 +353,9 @@ def inverted_index(docs: ray.data.Dataset, max_df: int | None = None,
     hazard: a token in every one of 10^12 docs is one giant row — real
     deployments segment such lists; capping df is the standard pruning
     since stopword postings carry no retrieval signal)."""
-    from .relational import resolve_n_buckets
-
-    n_buckets = resolve_n_buckets(None, est_rows)
     pairs = doc_term_freq(docs, text_col=text_col, id_col=id_col)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        toks = batch.column("token").to_pylist()
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(t.encode("utf-8", "surrogatepass"))
-                      % n_buckets for t in toks], pa.int32()))
-
-    def build(g: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
-
+    def build(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["token", id_col], kind="mergesort")
         agg = g.groupby("token", sort=True)[id_col].agg(
             df="size", postings=lambda s: ",".join(map(str, s)))
@@ -393,12 +363,10 @@ def inverted_index(docs: ray.data.Dataset, max_df: int | None = None,
         if max_df is not None:
             agg = agg[agg["df"] <= max_df]
         agg["df"] = agg["df"].astype("int64")
-        return pd_to_arrow(agg)
+        return agg
 
-    return (pairs.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: build(g.drop(columns=["__bucket"])),
-                        batch_format="pandas"))
+    return bucket_reduce(pairs, "token", build, est_rows=est_rows,
+                         batch_format="pandas")
 
 
 def bigram_lm_topk(docs: ray.data.Dataset, top_n: int = 50,
@@ -519,12 +487,11 @@ def _mix_bigram(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 def _doc_bigram_hash_counts(docs: ray.data.Dataset, parity: int | None,
                             id_col: str, text_col: str,
-                            per_doc: bool,
-                            n_buckets: int = 256) -> ray.data.Dataset:
+                            per_doc: bool) -> ray.data.Dataset:
     """Digest-keyed twin of ``_doc_bigram_counts``: bigrams ride shuffles
     as 64-bit combines of per-token hashes, never as strings — the
     q56-CDC/q129 digest-key rule.  Emits per-batch combiner rows
-    (h12, h1[, doc_id], n, __bucket).  64-bit collisions are
+    (h12, h1[, doc_id], n).  64-bit collisions are
     negligible below ~10^8 distinct bigrams; swap ``_mix_bigram`` for a
     128-bit digest beyond (same note as CDC)."""
 
@@ -536,8 +503,7 @@ def _doc_bigram_hash_counts(docs: ray.data.Dataset, parity: int | None,
         p = np.asarray(parent, dtype=np.int64)
         cols: dict = {"h12": pa.array([], pa.int64()),
                       "h1": pa.array([], pa.int64()),
-                      "n": pa.array([], pa.int64()),
-                      "__bucket": pa.array([], pa.int32())}
+                      "n": pa.array([], pa.int64())}
         if per_doc:
             cols["doc_id"] = pa.array([], pa.int64())
         if len(p) < 2:
@@ -558,13 +524,7 @@ def _doc_bigram_hash_counts(docs: ray.data.Dataset, parity: int | None,
                 .agg(h1=("h1", "first"), n=("h1", "size"))
         out = {"h12": pa.array(g["h12"].to_numpy(np.int64)),
                "h1": pa.array(g["h1"].to_numpy(np.int64)),
-               "n": pa.array(g["n"].to_numpy(np.int64)),
-               # bucket by h1: every copy of an h12 shares its h1, so a
-               # single h1-bucket groupby can both finish the c12 sums
-               # and resolve c1/lp in-bucket (one shuffle, not two)
-               "__bucket": pa.array(
-                   (g["h1"].to_numpy(np.int64) % n_buckets + n_buckets)
-                   % n_buckets, pa.int32())}
+               "n": pa.array(g["n"].to_numpy(np.int64))}
         if per_doc:
             out["doc_id"] = pa.array(g["doc_id"].to_numpy(np.int64))
         return pa.table(out)
@@ -598,27 +558,23 @@ def perplexity_scores(docs: ray.data.Dataset,
     prior global (doc, bigram) reduce — per-doc folding is additive.
     64-bit digests are collision-safe below ~10^8 distinct bigrams;
     swap ``_mix_bigram`` for 128 bits beyond (the CDC note)."""
-    from ray.data.aggregate import Sum
-
-    from ..schema import pd_to_arrow
     from .relational import hash_join
 
-    # ONE h1-bucket groupby finishes the c12 sums AND resolves c1/lp
-    # in-bucket — no join: rows sharing h1 are already co-located, so a
-    # hash_join here would only add a second shuffle.
-    def reduce_lp(g: pd.DataFrame) -> pa.Table:
+    # ONE h1-bucket shuffle finishes the c12 sums AND resolves c1/lp
+    # in-bucket — no join: every copy of an h12 shares its h1, so rows
+    # sharing h1 are already co-located and a hash_join here would only
+    # add a second shuffle.
+    def reduce_lp(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby(["h1", "h12"], as_index=False).agg(c12=("n", "sum"))
         c1 = r.groupby("h1")["c12"].transform("sum").to_numpy(np.float64)
         a = r["c12"].to_numpy(np.float64)
         lp = np.floor(np.log(a / c1) * quantum + 0.5).astype(np.int64)
-        return pd_to_arrow(pd.DataFrame({
-            "h12": r["h12"].to_numpy(np.int64),
-            "lp_q": lp}))
+        return pd.DataFrame({"h12": r["h12"].to_numpy(np.int64),
+                             "lp_q": lp})
 
-    lm_q = (_doc_bigram_hash_counts(docs, 0, id_col, text_col,
-                                    per_doc=False)
-            .groupby("__bucket")
-            .map_groups(reduce_lp, batch_format="pandas"))
+    lm_q = bucket_reduce(
+        _doc_bigram_hash_counts(docs, 0, id_col, text_col, per_doc=False),
+        "h1", reduce_lp, n_buckets=256, batch_format="pandas")
 
     # scoring side: per-batch combiner rows join the LM directly — no
     # global (doc, bigram) groupby first; the per-doc fold is additive
@@ -643,21 +599,19 @@ def perplexity_scores(docs: ray.data.Dataset,
             "lp_part": pa.array(n * lp * (1 - oov)),
             "n_part": pa.array(n),
             "oov_part": pa.array(n * oov),
-            "__bd": pa.array(((did % 256 + 256) % 256).astype(np.int32)),
         })
 
-    def reduce_doc(g: pd.DataFrame) -> pa.Table:
+    def reduce_doc(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby("doc_id", as_index=False).agg(
             lp_total_q=("lp_part", "sum"), n_bigrams=("n_part", "sum"),
             n_oov=("oov_part", "sum"))
-        return pd_to_arrow(pd.DataFrame({
+        return pd.DataFrame({
             c: r[c].to_numpy(np.int64)
-            for c in ("doc_id", "lp_total_q", "n_bigrams", "n_oov")}))
+            for c in ("doc_id", "lp_total_q", "n_bigrams", "n_oov")})
 
-    return (joined.map_batches(fold, batch_format="pyarrow")
-            .groupby("__bd")
-            .map_groups(reduce_doc, batch_format="pandas")
-            .sort("doc_id"))
+    return bucket_reduce(joined.map_batches(fold, batch_format="pyarrow"),
+                         "doc_id", reduce_doc, n_buckets=256,
+                         batch_format="pandas").sort("doc_id")
 
 
 def bpe_train(docs: ray.data.Dataset, n_merges: int = 8,
@@ -882,7 +836,7 @@ def pmi_topk(docs: ray.data.Dataset, top_n: int = 50, min_count: int = 5,
 
     from .relational import hash_join
 
-    nb = max(4, (est_rows or 0) // 250_000 + 1)
+    nb = resolve_n_blocks(est_rows or 0)
     # groupby outputs arrive in many near-empty blocks; the joins below
     # pay by block count — repartition before materializing
     uni = (docs.map_batches(
@@ -1221,7 +1175,7 @@ def rrf_fuse(ranked: "list[ray.data.Dataset]", names: list[str],
     cols = [id_col, "rrf_q"] + [f"rank_{n}" for n in names]
     for col in cols:
         out[col] = out[col].astype("int64")
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return pd_to_arrow(out[cols])
 
 
 def vocab_churn_topk(old_docs: ray.data.Dataset,
@@ -1278,7 +1232,7 @@ def vocab_churn_topk(old_docs: ray.data.Dataset,
         df = t.to_pandas().sort_values(
             ["churn_ppm", "token"], ascending=[False, True],
             kind="mergesort").head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pd_to_arrow(df)
 
     return (tot.map_batches(churn, batch_format="pyarrow")
             .sort(["churn_ppm", "token"], descending=[True, False])
@@ -1306,11 +1260,6 @@ def boilerplate_attribution(docs: ray.data.Dataset,
     source, so the final groupby reduces ≤ sources × buckets rows."""
     from ray.data.aggregate import Sum
 
-    from .relational import resolve_n_buckets
-    from ..schema import pd_to_arrow
-
-    n_buckets = resolve_n_buckets(None, est_rows)
-
     def digest_partial(batch: pa.Table) -> pa.Table:
         texts = batch.column(text_col)
         if isinstance(texts, pa.ChunkedArray):
@@ -1330,15 +1279,12 @@ def boilerplate_attribution(docs: ray.data.Dataset,
         texts = part.column("line").to_pylist()
         digests = [hashlib.md5(t.encode("utf-8")).hexdigest()
                    for t in texts]
-        bucket = pa.array(
-            [int(d[:8], 16) % n_buckets for d in digests], pa.int32())
         return pa.table({
             "h": pa.array(digests, pa.string()),
             id_col: part.column(id_col),
             "line_no": part.column("line_no"),
             "src": part.column("src"),
-            "n": pc.cast(pc.utf8_length(part.column("line")), pa.int64()),
-            "__bucket": bucket})
+            "n": pc.cast(pc.utf8_length(part.column("line")), pa.int64())})
 
     def dup_partial(g: pd.DataFrame):
         g = g.sort_values(["h", id_col, "line_no"], kind="mergesort")
@@ -1352,12 +1298,11 @@ def boilerplate_attribution(docs: ray.data.Dataset,
             return pa.table({"source": pa.array([], pa.string()),
                              "n_dup_lines": pa.array([], pa.int64()),
                              "dup_chars": pa.array([], pa.int64())})
-        return pd_to_arrow(out)
+        return out
 
-    return (docs.map_batches(digest_partial, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: dup_partial(
-                g.drop(columns=["__bucket"])), batch_format="pandas")
+    return (bucket_reduce(
+                docs.map_batches(digest_partial, batch_format="pyarrow"),
+                "h", dup_partial, est_rows=est_rows, batch_format="pandas")
             .groupby("source")
             .aggregate(Sum("n_dup_lines", alias_name="n_dup_lines"),
                        Sum("dup_chars", alias_name="dup_chars")))

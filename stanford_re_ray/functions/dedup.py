@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray.data
 
+from .relational import bucket_reduce, resolve_n_blocks
+
 
 # --- exact dedup -----------------------------------------------------------
 
@@ -173,24 +175,10 @@ def minhash_lsh_groups(
         batch_format="pyarrow",
     )
 
-    def add_bucket(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
-        keys = [
-            f"{b}\x00{h}"
-            for b, h in zip(batch.column("band_id").to_pylist(),
-                            batch.column("band_hash").to_pylist())
-        ]
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode()) % n_buckets for k in keys],
-                     pa.int32()),
-        )
-
-    def collapse(df: pd.DataFrame) -> pa.Table:
+    def collapse(df: pd.DataFrame) -> pd.DataFrame:
         """One Ray group = one hash bucket of LSH cells; the per-cell
         collapse runs vectorized inside (shuffling one int column beats a
         Ray group per (band, hash) cell — same pattern as the bag stage)."""
-        from ..schema import pd_to_arrow
-
         out_rows = []
         if len(df):
             df = df.sort_values(["band_id", "band_hash", "doc_id"],
@@ -212,16 +200,10 @@ def minhash_lsh_groups(
                 "doc_ids": pd.Series([], dtype="object"),
                 "rep": pd.Series([], dtype="int64"),
             })
-        return pd_to_arrow(out)
+        return out
 
-    return (
-        bands.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: collapse(g.drop(columns=["__bucket"])),
-            batch_format="pandas",
-        )
-    )
+    return bucket_reduce(bands, ["band_id", "band_hash"], collapse,
+                         batch_format="pandas")
 
 
 def jaccard(text_a: str, text_b: str, k: int = 5) -> float:
@@ -363,7 +345,7 @@ def ngram_jaccard_pairs(
         .materialize()
     )
     n_cand = cand.count()
-    cand = cand.repartition(max(4, n_cand // 250_000 + 1)).materialize()
+    cand = cand.repartition(resolve_n_blocks(n_cand)).materialize()
     docs = ds.select_columns(["doc_id", "text"])
     # semi-join reduction: candidate doc ids are LSH-bounded (≪ corpus),
     # so a 512 KB Bloom of them drops every non-candidate document
@@ -1050,9 +1032,7 @@ def simhash_neardup_pairs(
             "simhash": pa.array(sim, pa.string()),
         })
 
-    def verify(df: pd.DataFrame) -> pa.Table:
-        from ..schema import pd_to_arrow
-
+    def verify(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
         if len(df) >= 2:
             df = df.sort_values(["band_key", "doc_id"], kind="mergesort")
@@ -1074,25 +1054,13 @@ def simhash_neardup_pairs(
                 "doc_b": pd.Series([], dtype="int64"),
                 "hamming": pd.Series([], dtype="int64"),
             })
-        return pd_to_arrow(out)
-
-    def add_bucket(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode()) % n_buckets
-                      for k in batch.column("band_key").to_pylist()],
-                     pa.int32()),
-        )
+        return out
 
     from ray.data.aggregate import Min
 
-    pairs = (
-        sigs.map_batches(explode_bands, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(lambda g: verify(g.drop(columns=["__bucket"])),
-                    batch_format="pandas")
-    )
+    pairs = bucket_reduce(
+        sigs.map_batches(explode_bands, batch_format="pyarrow"),
+        "band_key", verify, batch_format="pandas")
     # dedupe pairs found via multiple bands
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(
         Min("hamming", alias_name="hamming")
@@ -1265,7 +1233,6 @@ def _cdc_marked(docs: ray.data.Dataset, window: int, divisor: int,
     keep-first only depends on the per-chunk (doc_id, start) order).
     ``keep_cols`` retains ``start`` so the clean path can join the flags
     back onto the chunk text; otherwise emits the accounting triple."""
-    from ..schema import pd_to_arrow
     from .relational import resolve_n_buckets
 
     n_buckets = (_CDC_BUCKETS if est_chunks is None
@@ -1278,12 +1245,7 @@ def _cdc_marked(docs: ray.data.Dataset, window: int, divisor: int,
                                          with_digest=True),
         batch_format="pyarrow")
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (batch.column("dig_hi").to_numpy(zero_copy_only=False)
-             % n_buckets).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-
-    def mark_bucket(df: pd.DataFrame) -> pa.Table:
+    def mark_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["dig_hi", "dig_lo", "doc_id", "start"],
                             kind="mergesort").reset_index(drop=True)
         is_dup = df.duplicated(subset=["dig_hi", "dig_lo"],
@@ -1294,12 +1256,11 @@ def _cdc_marked(docs: ray.data.Dataset, window: int, divisor: int,
             out["start"] = df["start"].astype("int64")
         else:
             out["dup_chars"] = is_dup * df["length"].astype("int64")
-        return pd_to_arrow(pd.DataFrame(out))
+        return pd.DataFrame(out)
 
-    return (occ.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: mark_bucket(g.drop(columns="__bucket")),
-                        batch_format="pandas"))
+    # a chunk's occurrences share dig_hi, so it alone routes them
+    return bucket_reduce(occ, "dig_hi", mark_bucket, n_buckets=n_buckets,
+                         batch_format="pandas")
 
 
 def cdc_dedup_clean(
@@ -1322,8 +1283,6 @@ def cdc_dedup_clean(
     re-attaches the flags (chunk boundaries are content-defined, so both
     passes cut identically).  One Ray group per doc would pay
     pandas-per-group overhead per document — hence the hash buckets."""
-    from ..schema import pd_to_arrow
-
     from .relational import resolve_n_buckets
 
     n_buckets = (_CDC_BUCKETS if est_chunks is None
@@ -1354,14 +1313,7 @@ def cdc_dedup_clean(
     tagged = marked.map_batches(tag_marks, batch_format="pyarrow").union(
         texts.map_batches(tag_texts, batch_format="pyarrow"))
 
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        # the reassembly shuffle carries the full chunk text: scale its
-        # bucket count with the corpus too, not just the identity shuffle
-        b = (batch.column("doc_id").to_numpy(zero_copy_only=False)
-             % n_buckets).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-
-    def reassemble_bucket(df: pd.DataFrame) -> pa.Table:
+    def reassemble_bucket(df: pd.DataFrame) -> pd.DataFrame:
         flags = df.loc[df["is_dup"] >= 0, ["doc_id", "start", "is_dup"]]
         text = df.loc[df["is_dup"] < 0, ["doc_id", "start", "chunk"]]
         m = text.merge(flags, on=["doc_id", "start"], how="left")
@@ -1379,13 +1331,12 @@ def cdc_dedup_clean(
             "clean_text": clean.reindex(removed.index).fillna(""),
             "n_removed_chars": removed.to_numpy().astype("int64"),
         })
-        return pd_to_arrow(out.reset_index(drop=True))
+        return out.reset_index(drop=True)
 
-    return (tagged.map_batches(add_doc_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(
-                lambda g: reassemble_bucket(g.drop(columns="__bucket")),
-                batch_format="pandas"))
+    # the reassembly shuffle carries the full chunk text: scale its
+    # bucket count with the corpus too, not just the identity shuffle
+    return bucket_reduce(tagged, "doc_id", reassemble_bucket,
+                         n_buckets=n_buckets, batch_format="pandas")
 
 
 def incremental_dedup(new_docs: ray.data.Dataset,
@@ -1615,7 +1566,7 @@ def prefix_jaccard_pairs(ds: ray.data.Dataset, threshold: float = 0.5,
         return pa.table({"gkey": pa.array(keys, pa.int64()),
                          "doc_id": pa.array(ids, pa.int64())})
 
-    nb = max(4, (est_rows or 0) // 250_000 + 1)
+    nb = resolve_n_blocks(est_rows or 0)
     # materialized: consumed by both join sides (else the prefix pass
     # runs twice); repartitioned so the self-join doesn't pay the
     # tiny-block sort tax
@@ -1749,7 +1700,6 @@ def hash_neardup_pairs(
     from ray.data.aggregate import Min
 
     from ..schema import pd_to_arrow
-    from .relational import resolve_n_buckets
 
     if max_hamming > 3:
         import warnings
@@ -1769,8 +1719,6 @@ def hash_neardup_pairs(
         return ray.data.from_arrow(pa.schema(
             [("id_a", pa.int64()), ("id_b", pa.int64()),
              ("hamming", pa.int64())]).empty_table())
-    n_buckets = resolve_n_buckets(
-        n_buckets, 4 * est_rows if est_rows is not None else None)
     id_type = schema.base_schema.field(id_col).type
     target = pa.schema([("id_a", id_type), ("id_b", id_type),
                         ("hamming", pa.int64())])
@@ -1780,21 +1728,16 @@ def hash_neardup_pairs(
             .astype(np.uint64)
         n = len(h)
         ids = batch.column(id_col)
-        # 4 bands × 16 bits, fully vectorized; bucket = splitmix64-style
-        # mix of (band, value) so band-0 values don't collide with
-        # band-1 values in the bucket space
+        # 4 bands × 16 bits, fully vectorized; the band number is part
+        # of the key, so equal values in different bands never match
         idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), 4))
         band = np.tile(np.arange(4, dtype=np.uint64), n)
         val = (np.repeat(h, 4) >> (band * np.uint64(16))) & np.uint64(0xFFFF)
         key = (band << np.uint64(16)) | val
-        mix = key * np.uint64(0x9E3779B97F4A7C15)
-        mix ^= mix >> np.uint64(31)
         return pa.table({
             "id": ids.take(idx),
             "bkey": pa.array(key.astype(np.int64)),
             "h": pa.array(np.repeat(h, 4)),
-            "__bucket": pa.array((mix % np.uint64(n_buckets))
-                                 .astype(np.int32)),
         })
 
     def verify(df: pd.DataFrame) -> pa.Table:
@@ -1819,10 +1762,11 @@ def hash_neardup_pairs(
                             "hamming": np.concatenate(out_d)})
         return pd_to_arrow(out).cast(target)
 
-    pairs = (ds.map_batches(explode_bands, batch_format="pyarrow")
-             .groupby("__bucket")
-             .map_groups(lambda g: verify(g.drop(columns=["__bucket"])),
-                         batch_format="pandas"))
+    pairs = bucket_reduce(
+        ds.map_batches(explode_bands, batch_format="pyarrow"), "bkey",
+        verify, n_buckets=n_buckets,
+        est_rows=4 * est_rows if est_rows is not None else None,
+        batch_format="pandas")
     # a pair found via multiple shared bands appears once per band
     return pairs.groupby(["id_a", "id_b"]).aggregate(
         Min("hamming", alias_name="hamming"))

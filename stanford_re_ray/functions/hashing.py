@@ -13,6 +13,7 @@ import hashlib
 import zlib
 
 import numpy as np
+import pyarrow as pa
 
 #: 64-bit FNV-1a constants (public domain algorithm)
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -58,6 +59,41 @@ def fnv1a_u64_vec(arr: np.ndarray) -> np.ndarray:
         byte = (x >> np.uint64(shift)) & np.uint64(0xFF)
         h = (h ^ byte) * _FNV_PRIME
     return h
+
+
+#: odd 64-bit multiplier (2^64 / golden ratio) for ``mix64`` folds and
+#: the per-byte weights of ``bytes_u64_vec``
+MIX_K = np.uint64(0x9E3779B97F4A7C15)
+
+
+def mix64(h: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer over a uint64 array: every input bit
+    reaches every output bit, so ``% n`` of the result is well spread."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def bytes_u64_vec(arr) -> np.ndarray:
+    """Deterministic 64-bit hash of every value of an Arrow string or
+    binary array (null slots hash as empty), straight off its offsets
+    and data buffers — no per-row Python.  Per value: the polynomial
+    ``Σ (byte_i + 1) · MIX_K^i`` mod 2^64 (prefix sums over the whole
+    buffer, differenced at the offsets), xor its length, ``mix64``."""
+    wide = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    offs = np.frombuffer(arr.buffers()[1], np.int64 if wide else np.int32)[
+        arr.offset:arr.offset + len(arr) + 1].astype(np.int64)
+    data = arr.buffers()[2]
+    lo = offs[0]
+    b = (np.frombuffer(data, np.uint8)[lo:offs[-1]] if data is not None
+         else np.zeros(0, np.uint8))
+    lens = np.diff(offs)
+    pos = np.arange(len(b)) - np.repeat(offs[:-1] - lo, lens)
+    powers = np.cumprod(np.full(int(lens.max(initial=0)) + 1, MIX_K))
+    cs = np.zeros(len(b) + 1, np.uint64)
+    np.cumsum((b.astype(np.uint64) + np.uint64(1)) * powers[pos], out=cs[1:])
+    return mix64((cs[offs[1:] - lo] - cs[offs[:-1] - lo])
+                 ^ lens.astype(np.uint64))
 
 
 def str_hash_u64_vec(strings) -> np.ndarray:

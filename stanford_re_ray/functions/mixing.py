@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..schema import pd_to_arrow
 from .corpus import _tokenize_column
 from .hashing import stable_u64
 
@@ -243,7 +244,7 @@ def sequence_packing(
            .to_pandas().sort_values("pack_id").reset_index(drop=True))
     for c in out.columns:
         out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pd_to_arrow(out)
 
 
 def mixture_upsample(

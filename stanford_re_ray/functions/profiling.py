@@ -25,6 +25,9 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..schema import pd_to_arrow
+from .relational import bucket_reduce
+
 
 def infer_spec(schema: pa.Schema) -> list[tuple[str, str]]:
     """Map an Arrow schema to (column, kind) pairs: num | ts | str.
@@ -102,18 +105,14 @@ def profile_table(
         max_str=("max_str", _nsafe(pd.Series.max)),
     ).reset_index()
 
-    # exact distincts via ONE hash-bucket shuffle: equal values always
-    # share a bucket (crc32 of col+value — collisions only co-locate,
-    # never merge), so per-bucket drop_duplicates + per-column counts
-    # are exact partials and the final fold is a tiny driver sum.  A
+    # exact distincts via ONE hash-bucket shuffle: equal (col, value)
+    # pairs always share a bucket (collisions only co-locate, never
+    # merge), so per-bucket drop_duplicates + per-column counts are
+    # exact partials and the final fold is a tiny driver sum.  A
     # sort-based (col, value) groupby here paid per distinct key — 3x
     # slower at 600k keys.
-    n_buckets = 64
-
     def emit_vals(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        names, vals, buckets = [], [], []
+        names, vals = [], []
         for c, kind in spec:
             arr = batch.column(c)
             if kind == "ts":
@@ -124,32 +123,27 @@ def profile_table(
                  if isinstance(s, pa.ChunkedArray) else s)
             names.append(pa.array([c] * len(s), pa.string()))
             vals.append(s)
-            pre = c.encode()
-            buckets.append(pa.array(
-                [zlib.crc32(pre + v.encode()) % n_buckets
-                 for v in s.to_pylist()], pa.int32()))
         return pa.table({
             "col_name": pa.concat_arrays(names),
             "sval": pa.concat_arrays(vals),
-            "__bucket": pa.concat_arrays(buckets),
         })
 
-    def bucket_distinct(g: pd.DataFrame):
+    def bucket_distinct(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.drop_duplicates(["col_name", "sval"])
                .groupby("col_name", sort=False)
                .size().reset_index(name="nd"))
         out["nd"] = out["nd"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return out
 
-    nd = (ds.map_batches(emit_vals, batch_format="pyarrow")
-          .groupby("__bucket")
-          .map_groups(bucket_distinct, batch_format="pandas")
+    nd = (bucket_reduce(ds.map_batches(emit_vals, batch_format="pyarrow"),
+                        ["col_name", "sval"], bucket_distinct,
+                        batch_format="pandas")
           .to_pandas()
           .groupby("col_name", as_index=False)["nd"].sum()
           .rename(columns={"nd": "n_distinct"}))
 
     out = agg.merge(nd, on="col_name").sort_values("col_name")
-    return pa.Table.from_pandas(pd.DataFrame({
+    return pd_to_arrow(pd.DataFrame({
         "col_name": out["col_name"],
         "n_rows": out["n_rows"].astype("int64"),
         "n_null": out["n_null"].astype("int64"),
@@ -158,7 +152,7 @@ def profile_table(
         "max_num": np.round(out["max_num"].astype("float64"), 6),
         "min_str": out["min_str"],
         "max_str": out["max_str"],
-    }), preserve_index=False)
+    }))
 
 
 def hot_keys(
@@ -192,10 +186,10 @@ def hot_keys(
            .to_pandas().sort_values(["col_name", "rank"])
            .reset_index(drop=True))
     cnt = out["cnt"].to_numpy(np.int64)
-    return pa.Table.from_pandas(pd.DataFrame({
+    return pd_to_arrow(pd.DataFrame({
         "col_name": out["col_name"],
         "rnk": out["rank"].astype("int64"),
         "key_str": out["key_str"],
         "cnt": cnt,
         "share_ppm": cnt * 1_000_000 // total_rows,
-    }), preserve_index=False)
+    }))

@@ -41,6 +41,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..schema import pd_to_arrow
+
 QUALITY_DIM = 512
 
 
@@ -199,6 +201,6 @@ def quality_classifier_report(docs: ray.data.Dataset,
     for c in ("n_docs", "n_label_pass", "sum_ppm", "n_model_pass"):
         out[c] = out[c].astype("int64")
     out["mean_score_ppm"] = (out["sum_ppm"] // out["n_docs"]).astype("int64")
-    return pa.Table.from_pandas(
+    return pd_to_arrow(
         out[["source", "n_docs", "n_label_pass", "mean_score_ppm",
-             "n_model_pass"]], preserve_index=False)
+             "n_model_pass"]])

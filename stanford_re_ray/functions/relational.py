@@ -1,13 +1,19 @@
 """Relational operator kit: distributed joins and helpers the Dataset API
 does not (portably) provide.
 
-``hash_join`` is the workhorse: a key-partitioned join built from
-union-with-side-tag + ``groupby(key).map_groups`` — the portable pattern
-for both-sides-large joins (each group holds only the rows of one key).
-Broadcast (small-side) joins should NOT use this: ship the small side via
-``ray.put`` and join inside ``map_batches`` (see ``broadcast_join``).
-Every equi-join body (``hash_join``, ``broadcast_join``, ``smb_join``)
-runs the one Arrow kernel ``_join_tables``.
+``bucket_reduce`` is the one hash-bucketed shuffle: it routes rows by a
+hash of their key columns (``key_buckets``) into
+``resolve_n_buckets`` buckets, always Arrow on the map side, and runs a
+vectorized reducer once per bucket — the pattern for million-key
+reductions that a per-key groupby would pay for key by key.  Every
+keyed bucket shuffle in the package calls it; callers pre-combine with
+``map_batches`` before the call.  ``hash_join`` is the join on the same
+routing: union-with-side-tag, bucket by key, and join each bucket with
+the one Arrow kernel ``_join_tables`` (shared with ``broadcast_join`` and
+``smb_join``); it adds skew salting.  Broadcast (small-side) joins
+should NOT shuffle: ship the small side via ``ray.put`` and join inside
+``map_batches`` (see ``broadcast_join``).  ``resolve_n_blocks`` sizes the
+block count of small tables that feed a shuffle.
 """
 
 from __future__ import annotations
@@ -45,6 +51,14 @@ def resolve_n_buckets(n_buckets: int | None, est_rows: int | None) -> int:
         return 64
     return int(max(64, min(MAX_BUCKETS,
                            est_rows // TARGET_ROWS_PER_BUCKET + 1)))
+
+
+def resolve_n_blocks(n_rows: int) -> int:
+    """Block count for a small table of ~``n_rows`` that feeds a join,
+    groupby or iterative round: Ray's sort-based shuffles pay per BLOCK,
+    not per row, so a few blocks at small ``n_rows`` and one more per
+    TARGET_ROWS_PER_BUCKET rows at scale."""
+    return max(4, n_rows // TARGET_ROWS_PER_BUCKET + 1)
 
 
 def detect_hot_keys(
@@ -139,22 +153,44 @@ JOIN_BLOOM_BITS = 1 << 22
 JOIN_BLOOM_K = 4
 
 
+def _column_u64(c) -> np.ndarray:
+    """Per-row 64-bit hash of one key column, by value: an integer of
+    any width hashes its value, a string or binary (dictionary-encoded
+    or not) its bytes — each distinct value once (``dictionary_encode``)
+    — and any other type goes through ``pd.util.hash_array``."""
+    from .hashing import bytes_u64_vec, mix64
+
+    c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+    t = c.type.value_type if pa.types.is_dictionary(c.type) else c.type
+    if pa.types.is_integer(t):
+        c = c.dictionary_decode() if pa.types.is_dictionary(c.type) else c
+        return mix64(pc.fill_null(c, 0).to_numpy().astype(np.uint64))
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        d = c if pa.types.is_dictionary(c.type) else pc.dictionary_encode(c)
+        hd = np.append(bytes_u64_vec(d.dictionary), np.uint64(0))
+        return hd[pc.fill_null(d.indices, len(d.dictionary)).to_numpy()]
+    if pa.types.is_null(t):
+        return np.zeros(len(c), np.uint64)
+    return pd.util.hash_array(c.to_numpy(zero_copy_only=False))
+
+
 def _join_key_u64(batch: pa.Table, on: list[str]) -> np.ndarray:
-    """Process-independent vectorized 64-bit key hash (the same
-    ``pd.util.hash_pandas_object`` family as ``_route_buckets`` —
-    stability is what matters, not the particular value, because both
-    the build and the probe side compute it identically).  Only rows
-    with no null key are hashed (the rest get 0: a null key never
-    matches): a null turns an int column float64 in pandas, so one null
-    would change every other row's hash in its batch."""
-    keys = batch.select(on)
-    valid = np.ones(batch.num_rows, bool)
-    for c in keys.columns:
-        if c.null_count:
-            valid &= pc.is_valid(c).to_numpy()
+    """Process-independent vectorized 64-bit key hash — stability is what
+    matters, not the particular value, because every side of a shuffle
+    or Bloom probe computes it identically.  The key columns' hashes
+    (``_column_u64``) fold through ``hashing.mix64``; a row with a null
+    key gets 0 (a null key never matches)."""
+    from .hashing import MIX_K, mix64
+
     h = np.zeros(batch.num_rows, np.uint64)
-    h[valid] = pd.util.hash_pandas_object(
-        keys.filter(pa.array(valid)).to_pandas(), index=False).to_numpy()
+    valid = np.ones(batch.num_rows, bool)
+    for k in on:
+        c = batch.column(k)
+        if c.null_count:
+            valid &= pc.is_valid(c).to_numpy(zero_copy_only=False)
+        h = mix64(h * MIX_K + _column_u64(c))
+    h[~valid] = 0
     return h
 
 
@@ -171,7 +207,7 @@ def _bloom_prune_probe(
     (``m_bits/8`` bytes via ray.put), and drop LEFT rows whose key
     cannot match BEFORE the join's all-to-all shuffle.  Double hashing
     ``bit_i = (h1 + i·h2) % m`` with both hashes vectorized (numpy +
-    hash_pandas_object), probe is a packed-bit gather — no Python row
+    ``_join_key_u64``), probe is a packed-bit gather — no Python row
     loop.  At 100 TB this is the difference between shuffling the whole
     fact table and shuffling only the ~matching fraction."""
     from ..state import broadcast
@@ -266,31 +302,37 @@ def _row_hash_u64(batch: pa.Table, cols: list[str]) -> np.ndarray:
         index=False).to_numpy()
 
 
+def key_buckets(batch: pa.Table, on: list[str], n_buckets: int) -> pa.Array:
+    """The bucket of each row's key, int32 in [0, n_buckets): the one
+    routing rule of ``bucket_reduce`` and ``hash_join``.  A single
+    integer key column routes by ``key % n_buckets``; any other key by
+    the vectorized fixed-key hash ``_join_key_u64`` (process-independent,
+    so the determinism rule holds).  Routing only co-locates a key's
+    rows; it never affects OUTPUT, so it needs stability across batches
+    and processes, not any particular value."""
+    if len(on) == 1 and pa.types.is_integer(batch.column(on[0]).type):
+        # fill nulls first: a null makes to_numpy float64, which would
+        # route a key ≥ 2^53 away from its non-null-batch twin; every
+        # null key lands in bucket 0, as in the hashed branch
+        b = pc.fill_null(batch.column(on[0]), 0).to_numpy() % n_buckets
+    else:
+        b = _join_key_u64(batch, on) % np.uint64(n_buckets)
+    return pa.array(b.astype(np.int32), pa.int32())
+
+
 def _route_buckets(batch: pa.Table, on: list[str], n_buckets: int,
                    salt_keys: dict, max_salt: int,
                    spread_cols: list[str]) -> pa.Table:
     """``hash_join``'s routing: append ``__bucket`` to a tagged batch.
-    Salted hot keys spread their left rows over k sub-buckets by a
-    content hash of the row's non-nested ``spread_cols`` (the left
-    side's own columns: the right-only ones are null on every left row)
-    and replicate their right rows to all k."""
-    if not salt_keys and len(on) == 1 and \
-            pa.types.is_integer(batch.column(on[0]).type):
-        # fill nulls first: a null makes to_numpy float64, which would
-        # route a key ≥ 2^53 away from its non-null-batch twin (null
-        # keys never match, so any bucket serves them)
-        b = (pc.fill_null(batch.column(on[0]), 0).to_numpy()
-             % n_buckets).astype(np.int32)
-        return batch.append_column("__bucket", pa.array(b, pa.int32()))
-    # string / multi-column keys: vectorized fixed-key siphash
-    # (pd.util.hash_pandas_object — process-independent, so the
-    # determinism rule holds).  Routing only co-locates a key's rows;
-    # it never affects join OUTPUT, so the hash needs stability, not
-    # any particular value.
+    Unsalted, it is ``key_buckets``.  Salted hot keys spread their left
+    rows over k sub-buckets by a content hash of the row's non-nested
+    ``spread_cols`` (the left side's own columns: the right-only ones are
+    null on every left row) and replicate their right rows to all k."""
+    if not salt_keys:
+        return batch.append_column("__bucket",
+                                   key_buckets(batch, on, n_buckets))
     h = _join_key_u64(batch, on)
     b0 = (h % np.uint64(n_buckets)).astype(np.int32)
-    if not salt_keys:
-        return batch.append_column("__bucket", pa.array(b0, pa.int32()))
     # skew salting: resolve each DISTINCT key hash's split factor once
     # (rows of one key share its hash, so every row of a key gets the
     # same k); hot left rows spread by a row content hash, hot
@@ -463,6 +505,52 @@ def hash_join(
     )
 
 
+def bucket_reduce(
+    ds: ray.data.Dataset,
+    key: list[str] | str,
+    reduce,
+    *,
+    n_buckets: int | None = None,
+    est_rows: int | None = None,
+    batch_format: str = "pyarrow",
+) -> ray.data.Dataset:
+    """One hash-bucketed shuffle: every row goes to bucket
+    ``key_buckets(key)`` of ``resolve_n_buckets(n_buckets, est_rows)``,
+    and ``reduce`` runs once per bucket over all rows of the bucket's
+    keys — the pattern for reductions over many distinct keys, where a
+    Ray group per key would pay per-group overhead key by key.
+
+    The map side is Arrow without schema metadata, so no pandas block
+    (an empty one included) enters the exchange.  ``reduce`` gets the bucket in ``batch_format``
+    (Ray's ``map_groups`` option, passed through) without the routing
+    column, and may return Arrow or pandas: the output is Arrow without
+    schema metadata either way.  Rows of one key always share a bucket,
+    so a per-key reducer's output does not depend on the bucket count.
+    Pre-combine with ``map_batches`` before the call; Ray fuses it with
+    the routing map.  Ray skips ``reduce`` on an empty sort partition
+    and emits a column-less block there."""
+    from ..schema import pd_to_arrow
+
+    on = [key] if isinstance(key, str) else list(key)
+    n = resolve_n_buckets(n_buckets, est_rows)
+
+    def route(batch: pa.Table) -> pa.Table:
+        # a pandas block upstream arrives with pandas' dict metadata,
+        # which the exchange's schema unification cannot hash
+        return batch.replace_schema_metadata(None).append_column(
+            "__bucket", key_buckets(batch, on, n))
+
+    def run(g):
+        g = (g.drop_columns(["__bucket"]) if isinstance(g, pa.Table)
+             else g.drop(columns="__bucket"))
+        out = reduce(g)
+        return (out.replace_schema_metadata(None)
+                if isinstance(out, pa.Table) else pd_to_arrow(out))
+
+    return ds.map_batches(route, batch_format="pyarrow").groupby(
+        "__bucket").map_groups(run, batch_format=batch_format)
+
+
 def grouped_topk(
     ds: ray.data.Dataset,
     key: list[str] | str,
@@ -486,7 +574,6 @@ def grouped_topk(
     duplicates."""
     key = [key] if isinstance(key, str) else list(key)
     tiebreak = list(tiebreak or [])
-    n_buckets = resolve_n_buckets(n_buckets, est_rows)
     sort_cols = key + [order_by] + tiebreak
     ascending = [True] * len(key) + [not descending] + [True] * len(tiebreak)
 
@@ -496,34 +583,17 @@ def grouped_topk(
         df = df.sort_values(sort_cols, ascending=ascending, kind="mergesort")
         return df.groupby(key, sort=False).head(k)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        keys = list(zip(*(batch.column(c).to_pylist() for c in key)))
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32("\x00".join(str(v) for v in row)
-                                 .encode("utf-8", "surrogatepass"))
-                      % n_buckets for row in keys], pa.int32()),
-        )
-
-    def final(g: pd.DataFrame):
-        from ..schema import pd_to_arrow
-
-        g = g.drop(columns=["__bucket"])
+    def final(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            return pd_to_arrow(g.assign(rank=pd.Series([], dtype="int64")))
+            return g.assign(rank=pd.Series([], dtype="int64"))
         g = g.sort_values(sort_cols, ascending=ascending, kind="mergesort")
         g = g.groupby(key, sort=False).head(k)
         g["rank"] = g.groupby(key, sort=False).cumcount() + 1
-        return pd_to_arrow(g)
+        return g
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(final, batch_format="pandas")
-    )
+    return bucket_reduce(ds.map_batches(partial, batch_format="pandas"),
+                         key, final, n_buckets=n_buckets, est_rows=est_rows,
+                         batch_format="pandas")
 
 
 def asof_join(
@@ -551,7 +621,6 @@ def asof_join(
     wins is engine-dependent (pandas keeps the last in sort order) —
     dedupe the right side to one row per (by, on) first for reproducible
     output (as q27 does with max(event_id))."""
-    n_buckets = resolve_n_buckets(n_buckets, est_rows)
     ls, rs = left.schema(), right.schema()
     if ls is None:
         return left
@@ -572,22 +641,10 @@ def asof_join(
         _tag_and_align(right, "r", all_cols, types)
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(str(v).encode("utf-8", "surrogatepass"))
-                      % n_buckets
-                      for v in batch.column(by).to_pylist()], pa.int32()),
-        )
-
     l_only = [c for c in l_cols if c not in (by, on)]
     r_only = [c for c in r_cols if c not in (by, on)]
 
-    def merge_bucket(g: pd.DataFrame):
-        from ..schema import pd_to_arrow
-
+    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lg = g[g["__side"] == "l"][[by, on] + l_only]
         rg = g[g["__side"] == "r"][[by, on] + r_only]
         # merge_asof requires both frames sorted by `on`; stable secondary
@@ -612,13 +669,10 @@ def asof_join(
                 nullable = str(t).replace("int", "Int").replace("uInt",
                                                                 "UInt")
                 out = out.assign(**{c: out[c].astype(nullable)})
-        return pd_to_arrow(out)
+        return out
 
-    return (
-        tagged.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-    )
+    return bucket_reduce(tagged, by, merge_bucket, n_buckets=n_buckets,
+                         est_rows=est_rows, batch_format="pandas")
 
 
 def broadcast_join(
@@ -1022,35 +1076,22 @@ def scd2_intervals(
     a unique ``tiebreak_col`` (event id) to make the output a total
     function of the input.  Returns (key, state, valid_from, valid_to).
     """
-    from ..schema import pd_to_arrow
-
     order = [key_col, ts_col] + ([tiebreak_col] if tiebreak_col else [])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        b = ((k * np.uint64(2654435761)) >> np.uint64(16)) \
-            % np.uint64(n_buckets)
-        return batch.append_column("__bucket",
-                                   pa.array(b.astype(np.int32)))
-
-    def build(g: pd.DataFrame):
+    def build(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order, kind="mergesort").reset_index(drop=True)
         prev = g.groupby(key_col, sort=False)[state_col].shift(1)
         g = g[prev.isna() | (prev != g[state_col])]
         nxt = g.groupby(key_col, sort=False)[ts_col].shift(-1)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             key_col: g[key_col].to_numpy(),
             state_col: g[state_col].to_numpy(),
             "valid_from": g[ts_col].to_numpy(np.int64),
             "valid_to": nxt.fillna(sentinel).astype("int64").to_numpy(),
         })
-        return pd_to_arrow(out)
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: build(g.drop(columns="__bucket")),
-                        batch_format="pandas"))
+    return bucket_reduce(ds, key_col, build, n_buckets=n_buckets,
+                         batch_format="pandas")
 
 
 def forward_fill_daily(
@@ -1081,8 +1122,6 @@ def forward_fill_daily(
     deterministically.  Output rows = keys × days by contract (a dense
     panel), emitted from inside the bucket tasks — the operator itself
     never materializes them on the driver."""
-    from ..schema import pd_to_arrow
-
     def day_minmax(batch: pa.Table) -> pa.Table:
         us = batch.column(us_col).to_numpy(zero_copy_only=False)
         if len(us) == 0:
@@ -1102,15 +1141,7 @@ def forward_fill_daily(
 
     order = [key_col, us_col] + ([tiebreak_col] if tiebreak_col else [])
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        b = ((k * np.uint64(2654435761)) >> np.uint64(16)) \
-            % np.uint64(n_buckets)
-        return batch.append_column("__bucket",
-                                   pa.array(b.astype(np.int32)))
-
-    def fill(g: pd.DataFrame):
+    def fill(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(order, kind="mergesort").reset_index(drop=True)
         g["day"] = g[us_col].to_numpy(np.int64) // day_us
         last = g.groupby([key_col, "day"], sort=False).tail(1)
@@ -1132,10 +1163,8 @@ def forward_fill_daily(
             "day": pa.array(np.concatenate(days_out), pa.int64()),
             value_col: pa.array(np.concatenate(vals_out), pa.int64())})
 
-    return (ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda g: fill(g.drop(columns="__bucket")),
-                        batch_format="pandas"))
+    return bucket_reduce(ds, key_col, fill, n_buckets=n_buckets,
+                         batch_format="pandas")
 
 
 def snake_pack(

@@ -20,6 +20,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..schema import pd_to_arrow
+
 
 def _to_matrix(batch_col) -> np.ndarray:
     return np.array(batch_col.to_pylist(), dtype=np.float64)
@@ -568,4 +570,4 @@ def ivfpq_topk(
         .reset_index(drop=True)
     for c in ("query_id", "rank", id_col, "dist_q"):
         out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return pd_to_arrow(out)

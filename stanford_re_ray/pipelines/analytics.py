@@ -24,6 +24,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..functions.relational import resolve_n_blocks
+
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -2598,7 +2600,7 @@ def q108_curation_v2(sf_dir: str,
     # rows); joins and groupbys pay by BLOCK COUNT, so each one is
     # repartitioned to a size-derived handful of blocks before reuse
     # (the CLAUDE.md tiny-block gotcha)
-    nb = max(4, n_docs // 250_000 + 1)
+    nb = resolve_n_blocks(n_docs)
     docs = _read(sf_dir, "documents",
                  ["doc_id", "source", "text"]).materialize()
 
@@ -2979,7 +2981,7 @@ def q117_two_hop_reach(sf_dir: str) -> pa.Table:
         return pa.table({"src": pa.array(src[ok], pa.int64()),
                          "dst": pa.array(dst[ok], pa.int64())})
 
-    nb = max(4, n_events // 250_000 + 1)
+    nb = resolve_n_blocks(n_events)
     e = (ds.map_batches(edges, batch_format="pyarrow")
          .groupby(["src", "dst"]).count()
          .map_batches(lambda b: b.drop_columns(["count()"]),
@@ -8639,7 +8641,7 @@ def q241_doremi_weights(sf_dir: str) -> pa.Table:
     # join pays per BLOCK, so bound blocks before the source join (the
     # connected_components lesson)
     scores = perplexity_scores(docs, est_rows=n_docs * 50) \
-        .repartition(max(4, n_docs // 250_000 + 1)).materialize()
+        .repartition(resolve_n_blocks(n_docs)).materialize()
     src = _read(sf_dir, "documents", ["doc_id", "source"])
     agg = (hash_join(scores, src, on="doc_id", est_rows=n_docs)
            .map_batches(lambda t: pa.table({

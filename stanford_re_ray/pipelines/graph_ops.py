@@ -25,6 +25,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.relational import resolve_n_blocks
+
 SYMMETRIC_PREDS = ("per:spouse", "per:siblings", "per:other_family")
 INVERSE_PAIRS = (
     ("per:parents", "per:children"),
@@ -35,13 +37,6 @@ INVERSE_PAIRS = (
     ("org:members", "org:member_of"),
 )
 _INVERSE = dict(INVERSE_PAIRS)
-
-
-def _blocks(n: int) -> int:
-    """Block count for a table of ~``n`` rows that iterative rounds
-    re-read: Ray's sort-based shuffles pay per BLOCK, not per row, so a
-    few blocks at small ``n`` and one more per 250k rows at scale."""
-    return max(4, n // 250_000 + 1)
 
 
 def _flip(batch: pa.Table, pred_map: dict[str, str]) -> pa.Table:
@@ -57,24 +52,10 @@ def _flip(batch: pa.Table, pred_map: dict[str, str]) -> pa.Table:
     return pa.table(cols)
 
 
-def _merge_edges(edges: ray.data.Dataset, n_buckets: int = 64) -> ray.data.Dataset:
-    """Noisy-OR re-merge after adding derived edges (same reducer as S8b)."""
-    import zlib
-
-    from ..stages.canonicalize import noisy_or_merge_bucket
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = [
-            f"{a}\x00{p}\x00{b}"
-            for a, p, b in zip(batch.column("src_id").to_pylist(),
-                               batch.column("pred").to_pylist(),
-                               batch.column("dst_id").to_pylist())
-        ]
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode()) % n_buckets for k in keys],
-                     pa.int32()),
-        )
+def _merge_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """Noisy-OR re-merge after adding derived edges (S8b's
+    ``kg.merge_edges``)."""
+    from .kg import merge_edges
 
     def strip_support(batch: pa.Table) -> pa.Table:
         # n_support is re-derived by the merge
@@ -82,11 +63,8 @@ def _merge_edges(edges: ray.data.Dataset, n_buckets: int = 64) -> ray.data.Datas
             batch = batch.drop_columns(["n_support"])
         return batch
 
-    prepped = edges.map_batches(strip_support, batch_format="pyarrow") \
-                   .map_batches(add_bucket, batch_format="pyarrow")
-    return prepped.groupby("__bucket").map_groups(
-        noisy_or_merge_bucket, batch_format="pandas"
-    )
+    return merge_edges(edges.map_batches(strip_support,
+                                         batch_format="pyarrow"))
 
 
 def symmetrize(edges: ray.data.Dataset) -> ray.data.Dataset:
@@ -696,7 +674,7 @@ def triangle_counts(
                         batch_format="pyarrow")
            .materialize())
     n_und = und.count()
-    und = und.repartition(_blocks(n_und)).materialize()
+    und = und.repartition(resolve_n_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
     return _triangles_from_und(und, est_rows)
@@ -840,7 +818,7 @@ def kcore(
             # per-round task count — not the data — dominates wall time
             # (measured: round 5 had 729 blocks for 17 rows).  Bound
             # blocks to the surviving edge count before snapshotting.
-            n_blocks = _blocks(est_rows or und.count())
+            n_blocks = resolve_n_blocks(est_rows or und.count())
             und = stripped.repartition(n_blocks).materialize()
     else:
         low = (degrees(und).map_batches(only_low, batch_format="pyarrow")
@@ -982,7 +960,7 @@ def bfs_distances(
             return batch.append_column(
                 "dist", pa.array(np.full(batch.num_rows, _d, np.int64)))
 
-        n_blocks = _blocks(est_rows or n_seen)
+        n_blocks = resolve_n_blocks(est_rows or n_seen)
         frontier = (fresh.map_batches(stamp, batch_format="pyarrow")
                     .repartition(n_blocks).materialize())
         if frontier.count() == 0:
@@ -1017,7 +995,7 @@ def graph_structure_stats(edges: ray.data.Dataset,
     # reversed-edge semi join) — materialize once, in few blocks, or the
     # whole upstream derivation re-executes per consumer and its tiny
     # output blocks poison every downstream shuffle (CLAUDE.md gotcha)
-    n_blocks = _blocks(est_rows or 0)
+    n_blocks = resolve_n_blocks(est_rows or 0)
     edges = edges.repartition(n_blocks).materialize()
 
     def endpoints(batch: pa.Table) -> pa.Table:
@@ -1118,7 +1096,7 @@ def sssp_weighted(
     from ..functions.relational import hash_join
     from ..state import broadcast
 
-    n_blocks = _blocks(est_rows or 0)
+    n_blocks = resolve_n_blocks(est_rows or 0)
     edges = edges.repartition(n_blocks).materialize()
 
     if combine not in ("plus", "max"):
@@ -1266,7 +1244,7 @@ def clustering_coefficients(
                         batch_format="pyarrow")
            .materialize())
     n_und = und.count()
-    und = und.repartition(_blocks(n_und)).materialize()
+    und = und.repartition(resolve_n_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
 
@@ -1405,7 +1383,7 @@ def temporal_reachability(
             cand.map_batches(min_combine, batch_format="pyarrow"))
             .groupby("node").aggregate(Min("arrival",
                                            alias_name="arrival"))
-            .repartition(_blocks(est_rows)).materialize())
+            .repartition(resolve_n_blocks(est_rows)).materialize())
     return labels
 
 
@@ -1455,7 +1433,7 @@ def luby_mis(
            .map_batches(lambda t: t.drop_columns(["count()"]),
                         batch_format="pyarrow").materialize())
     n_adj = adj.count()
-    n_blocks = _blocks(n_adj)
+    n_blocks = resolve_n_blocks(n_adj)
     adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj
@@ -1586,7 +1564,7 @@ def hits(
         return empty
     # groupby outputs hundreds of near-empty blocks; every later join's
     # sort pays per BLOCK, not per row (the connected_components lesson)
-    e = e.repartition(_blocks(n_e)).materialize()
+    e = e.repartition(resolve_n_blocks(n_e)).materialize()
     if est_rows is None:
         est_rows = n_e
 
@@ -1603,7 +1581,7 @@ def hits(
                           batch_format="pyarrow")
              .materialize())
     n_nodes = nodes.count()
-    nodes = nodes.repartition(_blocks(n_nodes)).materialize()
+    nodes = nodes.repartition(resolve_n_blocks(n_nodes)).materialize()
 
     if n_nodes <= broadcast_limit:
         # ----- broadcast path: vector on the driver, big-int exact -----
@@ -1649,7 +1627,7 @@ def hits(
             "hub_q": pa.array([c for _, _, c in items], pa.int64())}))
 
     # ----- join path: vector stays distributed -----
-    vec_parts = _blocks(n_nodes)
+    vec_parts = resolve_n_blocks(n_nodes)
 
     def _global_max(ds: ray.data.Dataset, col: str) -> int:
         def pmax(batch: pa.Table) -> pa.Table:
@@ -1787,7 +1765,7 @@ def link_prediction_topk(
             "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
             "cn": pa.array([], pa.int64()),
             "jacc_ppm": pa.array([], pa.int64())}))
-    und = und.repartition(_blocks(n_und)).materialize()
+    und = und.repartition(resolve_n_blocks(n_und)).materialize()
     if est_rows is None:
         est_rows = 2 * n_und
     nb = int(max(16, min(4096, n_und // 100_000 + 1)))
@@ -1852,7 +1830,7 @@ def link_prediction_topk(
                       batch_format="pandas")
           .materialize())
     n_cn = cn.count()
-    cn = cn.repartition(_blocks(n_cn)).materialize()
+    cn = cn.repartition(resolve_n_blocks(n_cn)).materialize()
 
     cand = hash_join(cn, und, on=["a", "b"], how="anti",
                      est_rows=max(n_cn, n_und))
@@ -1934,7 +1912,7 @@ def scc(
     from ..functions.relational import hash_join
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
-        return ds.repartition(_blocks(n)).materialize()
+        return ds.repartition(resolve_n_blocks(n)).materialize()
 
     def _ingest(batch: pa.Table) -> pa.Table:
         s = pc.cast(batch.column("src"), pa.int64())
@@ -2168,7 +2146,7 @@ def msf_boruvka(
     from ..schema import pd_to_arrow
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
-        return ds.repartition(_blocks(max(n, 1))).materialize()
+        return ds.repartition(resolve_n_blocks(max(n, 1))).materialize()
 
     def _ingest(batch: pa.Table) -> pa.Table:
         s = pc.cast(batch.column("src"), pa.int64()) \
@@ -2182,7 +2160,7 @@ def msf_boruvka(
         keep = a != b
         df = (pd.DataFrame({"a": a[keep], "b": b[keep], "w": w[keep]})
               .groupby(["a", "b"], as_index=False).min())
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pd_to_arrow(df)
 
     empty = pa.table({"a": pa.array([], pa.int64()),
                       "b": pa.array([], pa.int64()),
@@ -2340,7 +2318,7 @@ def maximal_matching(
     from ..schema import pd_to_arrow
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
-        return ds.repartition(_blocks(max(n, 1))).materialize()
+        return ds.repartition(resolve_n_blocks(max(n, 1))).materialize()
 
     def _ingest(batch: pa.Table) -> pa.Table:
         s = pc.cast(batch.column("src"), pa.int64()) \
@@ -2354,7 +2332,7 @@ def maximal_matching(
         keep = a != b
         df = (pd.DataFrame({"a": a[keep], "b": b[keep], "w": w[keep]})
               .groupby(["a", "b"], as_index=False).max())
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pd_to_arrow(df)
 
     empty = pa.table({"a": pa.array([], pa.int64()),
                       "b": pa.array([], pa.int64()),
@@ -2467,9 +2445,10 @@ def greedy_coloring(
     import pyarrow.compute as pc
 
     from ..functions.relational import hash_join
+    from ..schema import pd_to_arrow
 
     def _mat(ds: ray.data.Dataset, n: int) -> ray.data.Dataset:
-        return ds.repartition(_blocks(n)).materialize()
+        return ds.repartition(resolve_n_blocks(n)).materialize()
 
     def _pairs(batch: pa.Table) -> pa.Table:
         s = pc.cast(batch.column("src"), pa.int64()) \
@@ -2479,7 +2458,7 @@ def greedy_coloring(
         keep = s != d
         df = (pd.DataFrame({"src": s[keep], "dst": d[keep]})
               .drop_duplicates())
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return pd_to_arrow(df)
 
     empty = pa.table({"node": pa.array([], pa.int64()),
                       "color": pa.array([], pa.int64())})
@@ -2611,7 +2590,7 @@ def label_propagation(
            .map_batches(lambda t: t.drop_columns(["count()"]),
                         batch_format="pyarrow").materialize())
     n_adj = adj.count()
-    n_blocks = _blocks(n_adj)
+    n_blocks = resolve_n_blocks(n_adj)
     adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj
@@ -2722,7 +2701,7 @@ def cc_pointer_doubling(
         return ray.data.from_arrow(pa.table({
             "node": pa.array([], pa.int64()),
             "component": pa.array([], pa.int64())}))
-    n_blocks = _blocks(n_adj)
+    n_blocks = resolve_n_blocks(n_adj)
     adj = adj.repartition(n_blocks).materialize()
     if est_rows is None:
         est_rows = n_adj

@@ -12,12 +12,13 @@ one lazy Ray Data graph.
 
 Everything streams: no full materialization until the triples.  The only
 wide operations are groupbys keyed on *extracted* records (pairs/triples ≪
-pages — SURVEY.md §7.5 scale posture).  The S6/S7 shuffle is Arrow end to
-end (``_bucket_reduce``): bag partials merge in one sort-and-segment kernel
+pages — SURVEY.md §7.5 scale posture).  The hash-bucketed shuffles (S6/S7,
+the S8 edge merge) are each one ``relational.bucket_reduce``.  The S6/S7
+one is Arrow end to end: bag partials merge in one sort-and-segment kernel
 (``classify.merge_partials``), the greedy walks one sorted list of row
 dicts per bucket, no per-entity DataFrame.  ``bag_stage`` and
 ``consistency_stage`` run S6 and S7 as separate shuffles when composed by
-hand; they share their combiner, reducers and bucketing with ``kg_tail``.
+hand; they share their combiner, reducers and entity key with ``kg_tail``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.relational import bucket_reduce, hash_join
 from ..schema import EDGES, NODES, TRIPLES, conform
 from ..stages import canonicalize as canon
-from ..stages.classify import (LRModel, MentionScorer, bag_reduce_bucket,
-                               partial_bag_combine, tag_buckets)
+from ..stages.classify import (ENTITY_KEY, LRModel, MentionScorer,
+                               bag_reduce_bucket, partial_bag_combine)
 from ..stages.consistency import (MAX_SLOT_LEN, greedy_consistency_bucket,
                                   unary_filter_batch)
 from ..stages.extract import extract_batch, filter_lang
@@ -172,15 +174,6 @@ def score_stage(pairs: ray.data.Dataset, model: LRModel,
     )
 
 
-def _bucket_reduce(ds: ray.data.Dataset, bucket, reduce) -> ray.data.Dataset:
-    """One int-bucket shuffle, Arrow on both sides: ``bucket`` (batch →
-    batch with a ``__bucket`` column) map-side, then ``reduce`` (one
-    bucket's group → ``schema.TRIPLES``) per bucket.  Ray skips the reduce
-    on an empty sort partition and emits a column-less Arrow block."""
-    return ds.map_batches(bucket, batch_format="pyarrow").groupby(
-        "__bucket").map_groups(reduce, batch_format="pyarrow")
-
-
 def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
               est_rows: int | None = None, bag_reduce=bag_reduce_bucket,
               combine=partial_bag_combine) -> ray.data.Dataset:
@@ -188,8 +181,8 @@ def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
     (Featurizer.java:38-70 / OneVsAllRelationExtractor.classifyRelations).
 
     A map-side ``combine`` (fused into the scorer's task chain) collapses
-    each batch to one row per (pair, rel) and tags it with its entity's
-    bucket; one shuffle moves the partials and ``bag_reduce``
+    each batch to one row per (pair, rel); one shuffle keyed by entity
+    moves the partials and ``bag_reduce``
     (``bag_reduce_bucket``, ``hoffmann_bag_reduce`` or a
     ``miml_bag_reducer``; Arrow group → Arrow typed as ``schema.TRIPLES``)
     merges them per bucket.  Quantized int64 scores
@@ -200,10 +193,9 @@ def bag_stage(scored: ray.data.Dataset, n_buckets: int | None = None,
     mentions) hint is given — bucket count is output-invariant here
     because every merge is associative, so scaling it only widens the
     reduce."""
-    from ..functions.relational import resolve_n_buckets
-
-    n = resolve_n_buckets(n_buckets, est_rows)
-    return _bucket_reduce(scored, lambda df: combine(df, n), bag_reduce)
+    return bucket_reduce(scored.map_batches(combine, batch_format="pyarrow"),
+                         ENTITY_KEY, bag_reduce, n_buckets=n_buckets,
+                         est_rows=est_rows)
 
 
 def consistency_stage(triples: ray.data.Dataset,
@@ -217,24 +209,22 @@ def consistency_stage(triples: ray.data.Dataset,
                       est_rows: int | None = None,
                       ) -> ray.data.Dataset:
     """S7 on its own: unary filters/rewrites map-side, then entity-local
-    greedy consistency (bucketed by ``tag_buckets``; greedy remains
+    greedy consistency (bucketed by entity; greedy remains
     per-entity inside; optional gazetteer geo-consistency via
     ``city_to_country``; optional ``extra_pass`` = pass-2 chain, e.g.
     ``consistency.pass2_chain()``).  ``n_buckets`` size-derived from
     ``est_rows`` (candidate triples) when given; bucketing is by subject
     hash so any count is output-invariant."""
-    from ..functions.relational import resolve_n_buckets
-
-    n = resolve_n_buckets(n_buckets, est_rows)
     msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
-
-    return _bucket_reduce(
-        triples,
-        lambda batch: tag_buckets(unary_filter_batch(batch, msl), n),
+    return bucket_reduce(
+        triples.map_batches(partial(unary_filter_batch, max_slot_len=msl),
+                            batch_format="pyarrow"),
+        ENTITY_KEY,
         partial(greedy_consistency_bucket, city_to_country=city_to_country,
                 enforce_cardinality=enforce_cardinality,
                 enforce_incompatibilities=enforce_incompatibilities,
-                extra_pass=extra_pass, gibbs_mixing_time=gibbs_mixing_time))
+                extra_pass=extra_pass, gibbs_mixing_time=gibbs_mixing_time),
+        n_buckets=n_buckets, est_rows=est_rows)
 
 
 def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
@@ -243,7 +233,7 @@ def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
             **greedy) -> ray.data.Dataset:
     """S6 + S7 in ONE shuffle: scored mentions → consistent TRIPLES.
 
-    The bag partials are bucketed by entity (``tag_buckets``), and
+    The bag partials are bucketed by entity (``ENTITY_KEY``), and
     PAIR_KEY starts with the entity, so one bucket holds every bag of each
     of its entities.  One ``map_groups`` then runs, per bucket, the bag
     reduce (``bag_reduce``: ``bag_reduce_bucket``, ``hoffmann_bag_reduce``
@@ -253,15 +243,15 @@ def kg_tail(scored: ray.data.Dataset, bag_reduce=bag_reduce_bucket,
     classifyRelations + HeuristicSlotfillPostProcessor.  Output equals
     ``consistency_stage(bag_stage(scored))`` row for row, typed as
     ``schema.TRIPLES``."""
-    from ..functions.relational import resolve_n_buckets
-
-    n = resolve_n_buckets(n_buckets, est_rows)
     msl = max_slot_len if max_slot_len is not None else MAX_SLOT_LEN
+
     def reduce(g: pa.Table) -> pa.Table:
         return greedy_consistency_bucket(
             unary_filter_batch(bag_reduce(g), msl), **greedy)
 
-    return _bucket_reduce(scored, lambda df: combine(df, n), reduce)
+    return bucket_reduce(scored.map_batches(combine, batch_format="pyarrow"),
+                         ENTITY_KEY, reduce, n_buckets=n_buckets,
+                         est_rows=est_rows)
 
 
 def _names_of_triples(batch: pa.Table) -> pa.Table:
@@ -359,25 +349,15 @@ def edges_stage(
 
     resolved = triples.map_batches(Resolve(), batch_format="pyarrow")
 
-    def add_edge_bucket(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
-        import zlib
+    return merge_edges(resolved)
 
-        keys = [
-            f"{a}\x00{p}\x00{b}"
-            for a, p, b in zip(batch.column("src_id").to_pylist(),
-                               batch.column("pred").to_pylist(),
-                               batch.column("dst_id").to_pylist())
-        ]
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode()) % n_buckets for k in keys],
-                     pa.int32()),
-        )
 
-    bucketed = resolved.map_batches(add_edge_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(
-        canon.noisy_or_merge_bucket, batch_format="pandas"
-    )
+def merge_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """Noisy-OR edge merge (``canon.noisy_or_merge_bucket``) in one
+    shuffle keyed by ``canon.EDGE_KEY`` — S8b's merge, and the re-merge
+    after graph operators add derived edges."""
+    return bucket_reduce(edges, canon.EDGE_KEY, canon.noisy_or_merge_bucket,
+                         batch_format="pandas")
 
 
 def explode_node_members(nodes: ray.data.Dataset) -> ray.data.Dataset:
@@ -413,8 +393,6 @@ def edges_stage_join(
     against the exploded nodes.members table on (name, type) — no broadcast
     of the node map, so it holds when the node table outgrows a worker.
     Same output as ``edges_stage`` (the noisy-OR merge is shared)."""
-    from ..functions.relational import hash_join
-
     members = explode_node_members(nodes)
     members_src = members.map_batches(
         lambda b: b.rename_columns(["name", "type", "src_id"]),
@@ -487,25 +465,7 @@ def edges_stage_join(
 
     resolved = with_dst.map_batches(resolve_dst, batch_format="pyarrow")
 
-    def add_edge_bucket(batch: pa.Table, n_buckets: int = 64) -> pa.Table:
-        import zlib
-
-        keys = [
-            f"{a}\x00{p}\x00{b}"
-            for a, p, b in zip(batch.column("src_id").to_pylist(),
-                               batch.column("pred").to_pylist(),
-                               batch.column("dst_id").to_pylist())
-        ]
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(k.encode()) % n_buckets for k in keys],
-                     pa.int32()),
-        )
-
-    bucketed = resolved.map_batches(add_edge_bucket, batch_format="pyarrow")
-    return bucketed.groupby("__bucket").map_groups(
-        canon.noisy_or_merge_bucket, batch_format="pandas"
-    )
+    return merge_edges(resolved)
 
 
 def dataset_to_table(ds: ray.data.Dataset) -> pa.Table:

@@ -149,20 +149,22 @@ def link_cluster(group: pd.DataFrame, max_cluster: int = 150) -> pd.DataFrame:
     )
 
 
-def noisy_or_merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
+#: the key edges merge on (one bucketed shuffle, ``pipelines.kg.merge_edges``)
+EDGE_KEY = ["src_id", "pred", "dst_id"]
+
+
+def noisy_or_merge_bucket(df: pd.DataFrame):
     """Vectorized per-bucket edge merge: noisy-OR via sum of log(1-s),
     argmax-score provenance, support counts (semantics of
-    ``noisy_or_merge`` / EntityGraph.mergeEdges)."""
+    ``noisy_or_merge`` / EntityGraph.mergeEdges).  Returns Arrow."""
     import numpy as np
 
     from ..schema import pd_to_arrow
 
     if not len(df):
-        return pd_to_arrow(df.iloc[0:0].drop(columns=["__bucket"],
-                                             errors="ignore"))
-    key = ["src_id", "pred", "dst_id"]
-    df = (df.drop(columns=["__bucket"], errors="ignore")
-            .sort_values(key + ["doc_id", "sent_idx"], kind="mergesort")
+        return pd_to_arrow(df.iloc[0:0])
+    key = EDGE_KEY
+    df = (df.sort_values(key + ["doc_id", "sent_idx"], kind="mergesort")
             .reset_index(drop=True))
     clipped = np.clip(1.0 - df["score"].to_numpy(), 1e-15, 1.0)
     df = df.assign(__log1m=np.log(clipped))

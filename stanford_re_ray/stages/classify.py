@@ -36,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.relational import key_buckets
 from ..relations import RELATION_NAMES, RELATION_BY_NAME
 
 D_FEATURES = 1 << 18
@@ -478,10 +479,11 @@ class MentionScorer:
 #
 # Physical plan: a MAP-SIDE COMBINER collapses each scored batch to one row
 # per (pair, rel) BEFORE the shuffle, then a bucket-keyed reduce merges the
-# partials.  Partials are bucketed by their ENTITY (``tag_buckets``):
-# PAIR_KEY starts with (subj, subj_type), so a pair's partials still meet in
-# one bucket, and that bucket also holds every other bag of the entity — the
-# S7 per-entity consistency pass can run in the same reduce
+# partials.  Partials are bucketed by their ENTITY (ENTITY_KEY, through
+# ``relational.bucket_reduce``): PAIR_KEY starts with it, so a pair's
+# partials still meet in one bucket, and that bucket also holds every other
+# bag of the entity — the S7 per-entity consistency pass can run in the
+# same reduce
 # (``pipelines.kg.kg_tail``).  Mention scores are quantized to the
 # SCORE_SCALE grid and summed as int64 — integer addition is associative +
 # commutative, so the result is bit-identical under ANY batch/block
@@ -492,22 +494,13 @@ class MentionScorer:
 # merges through ONE kernel, ``merge_partials``: one sort, segment starts
 # from adjacent-key inequality, ``np.add.reduceat`` per summed column.
 
-PAIR_KEY = ["subj", "subj_type", "obj", "obj_type"]
+ENTITY_KEY = ["subj", "subj_type"]
+PAIR_KEY = ENTITY_KEY + ["obj", "obj_type"]
 SCORE_SCALE = 1_000_000_000
 _PROV_COLS = ["doc_id", "sent_idx", "subj_begin", "subj_end",
               "obj_begin", "obj_end"]
 _TIE_COLS = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
 _BAG_KEY = PAIR_KEY + ["rel"]
-
-
-def tag_buckets(t: pa.Table, n_buckets: int) -> pa.Table:
-    """``t`` with its entity's shuffle bucket appended as ``__bucket``:
-    crc32 of ``subj`` NUL ``subj_type``, mod ``n_buckets`` (int32) — the
-    one key S6 partials and S7 triples are bucketed by."""
-    ents = zip(t.column("subj").to_pylist(), t.column("subj_type").to_pylist())
-    return t.append_column("__bucket", pa.array(np.fromiter(
-        (zlib.crc32(f"{s}\x00{ty}".encode("utf-8", "surrogatepass"))
-         % n_buckets for s, ty in ents), np.int32, count=t.num_rows)))
 
 
 def segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
@@ -553,12 +546,18 @@ def bag_triples(merged: pa.Table, score) -> pa.Table:
         ["pred" if c == "rel" else c for c in t.column_names]), TRIPLES)
 
 
-def partial_bag_combine(batch, n_buckets: int = 64) -> pa.Table:
+def partial_bag_combine(batch, n_buckets: int | None = None) -> pa.Table:
     """Map-side combiner (the 'pre-aggregate inside map_batches' pattern):
-    one row per (pair, rel) per batch, tagged with its entity's bucket."""
+    one row per (pair, rel) per batch.  Given ``n_buckets``, each row is
+    tagged ``__bucket`` with its entity's bucket (``relational.key_buckets``
+    over ENTITY_KEY, the routing ``bucket_reduce`` gives the KG tail) for
+    callers that group the partials by hand."""
     cols = _BAG_KEY + ["sum_q", "best_q"] + _PROV_COLS
-    return tag_buckets(merge_partials(batch, ["sum_q"]).select(cols),
-                       n_buckets)
+    merged = merge_partials(batch, ["sum_q"]).select(cols)
+    if n_buckets is None:
+        return merged
+    return merged.append_column("__bucket",
+                                key_buckets(merged, ENTITY_KEY, n_buckets))
 
 
 def bag_reduce_bucket(group) -> pa.Table:

@@ -12,7 +12,7 @@ Rebuilt from the reference's consistency engine (SURVEY.md §2.8):
     extraction, URL base extraction
     (HeuristicSlotfillPostProcessors.java:186-241, 298-367);
 - global pass (``greedy_consistency_bucket``, the Arrow reduce of a
-  shuffle keyed by ``classify.tag_buckets``: each entity's run of sorted
+  shuffle keyed by entity, ``classify.ENTITY_KEY``: each entity's run of sorted
   row dicts through ``entity_fills`` — entity-local, the greedy set is
   bounded by fills-per-entity, SURVEY.md §2.8 mapping):
   * canonical KBPSlotFill ordering — score desc, slot-token-count desc,

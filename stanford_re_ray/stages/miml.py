@@ -40,7 +40,7 @@ import pyarrow as pa
 from ..relations import RELATION_NAMES
 from .classify import (D_FEATURES, PAIR_KEY, _PROV_COLS, _REL_INDEX,
                        bag_triples, compact_weights, merge_partials,
-                       segment_starts, sparse_scores, tag_buckets)
+                       segment_starts, sparse_scores)
 
 NIL = "_NR"  # RelationMention.UNRELATED analog
 Z_LABELS = list(RELATION_NAMES) + [NIL]
@@ -545,13 +545,11 @@ class MimlScorer:
         )
 
 
-def miml_bag_combine(batch, n_buckets: int) -> pa.Table:
+def miml_bag_combine(batch) -> pa.Table:
     """Map-side per-(pair, rel) partial merge (``classify.merge_partials``):
     n_mentions and log1m_q add; the best provenance row is the max of
-    (best_q, provenance) — associative.  Rows are tagged with their
-    entity's shuffle bucket, as ``classify.partial_bag_combine`` does."""
-    return tag_buckets(merge_partials(batch, _MIML_SUMS).select(_MIML_COLS),
-                       n_buckets)
+    (best_q, provenance) — associative."""
+    return merge_partials(batch, _MIML_SUMS).select(_MIML_COLS)
 
 
 def miml_bag_reduce(group, y_weights: np.ndarray, y_bias: np.ndarray,

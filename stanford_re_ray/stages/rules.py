@@ -177,42 +177,24 @@ def relation_filter_stage(scored, components, n_buckets: int | None = None,
     ``n_buckets`` is size-derived from ``est_rows`` (expected scored rows,
     e.g. pages × mentions-per-page) when not given, so reduce parallelism
     scales with the corpus instead of capping at the old constant 64."""
-    import zlib
-
     import pandas as pd
 
-    from ..functions.relational import resolve_n_buckets
-    from ..schema import pd_to_arrow
-
-    n_buckets = resolve_n_buckets(n_buckets, est_rows)
+    from ..functions.relational import bucket_reduce
 
     fns = [FILTER_COMPONENTS[c] for c in components]
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__bucket",
-            pa.array([zlib.crc32(d.encode("utf-8", "surrogatepass"))
-                      % n_buckets
-                      for d in batch.column("doc_id").to_pylist()],
-                     pa.int32()),
-        )
-
-    def filter_bucket(g: pd.DataFrame):
-        g = g.drop(columns=["__bucket"])
+    def filter_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
-            return pd_to_arrow(g)
+            return g
         parts = []
         for _, scope in g.groupby("doc_id", sort=True):
             for fn in fns:
                 scope = fn(scope)
             parts.append(scope)
-        return pd_to_arrow(pd.concat(parts, ignore_index=True))
+        return pd.concat(parts, ignore_index=True)
 
-    return (
-        scored.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(filter_bucket, batch_format="pandas")
-    )
+    return bucket_reduce(scored, "doc_id", filter_bucket, n_buckets=n_buckets,
+                         est_rows=est_rows, batch_format="pandas")
 
 
 def sentence_competition(batch: pa.Table) -> pa.Table:

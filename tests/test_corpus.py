@@ -547,3 +547,23 @@ def test_tokenizer_fertility_invariants(ray_session):
     ).fetchall()]
     con.close()
     assert out["source"].tolist() == srcs
+
+
+def test_vocab_churn_blocks_carry_no_pandas_metadata(ray_session):
+    """Every block ``vocab_churn_topk`` emits is Arrow without schema
+    metadata: pandas metadata is a dict, so Ray's schema unification in
+    the following sort fails to hash it and warns
+    "Failed to hash the schemas"."""
+    import ray
+
+    from stanford_re_ray.functions.corpus import vocab_churn_topk
+
+    old = _docs_ds(2).filter(lambda r: r["doc_id"] < 3)
+    new = _docs_ds(2).filter(lambda r: r["doc_id"] >= 3)
+    ds = vocab_churn_topk(old, new, k=4, min_total=1).materialize()
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+              for ref in bundle.block_refs]
+    assert sum(b.num_rows for b in blocks) == 4
+    for b in blocks:
+        assert isinstance(b, pa.Table)
+        assert b.schema.metadata is None

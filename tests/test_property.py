@@ -941,7 +941,7 @@ def test_hash_join_bloom_prune_identity(ray_session, lkeys, rkeys):
 
 
 def test_hash_join_bloom_prune_string_keys(ray_session):
-    """Same identity over string keys (the hash_pandas_object path),
+    """Same identity over string keys (the Arrow byte-hash path),
     including left keys absent from the right side."""
     import ray.data as rd
 
@@ -1313,7 +1313,7 @@ def test_arrow_bag_merge_matches_pandas_oracle(rows, cuts, seed):
     def combined(combine):
         """Each combine batch merged alone (every other one passed as
         pandas), then the partials shuffled."""
-        parts = [combine(b.to_pandas() if i % 2 else b, 8)
+        parts = [combine(b.to_pandas() if i % 2 else b)
                  for i, b in enumerate(batches)]
         t = pa.concat_tables(parts)
         shuffled = random.Random(seed).sample(range(t.num_rows), t.num_rows)
@@ -1333,12 +1333,74 @@ def test_arrow_bag_merge_matches_pandas_oracle(rows, cuts, seed):
     out = _oracle_merge(df, ["sum_q"])
     totals = out.groupby(PAIR_KEY, sort=False)["sum_q"].transform("sum")
     want = _oracle_triples(out.assign(score=out["sum_q"] / totals))
-    assert bag_reduce_bucket(combined(partial_bag_combine)).equals(want)
+    lr = combined(partial(partial_bag_combine, n_buckets=8))
+    assert bag_reduce_bucket(lr).equals(want)
     # Hoffmann: the per-(pair, rel) max row, raw score
     want = _oracle_triples(out.assign(score=out["best_q"] / SCORE_SCALE))
-    assert hoffmann_bag_reduce(combined(partial_bag_combine)).equals(want)
+    assert hoffmann_bag_reduce(lr).equals(want)
     # MIML partial merge: n_mentions and log1m_q add across combine rounds
     miml = combined(miml_bag_combine)
-    got = miml_bag_combine(miml, 8).drop_columns(["__bucket"])
+    got = miml_bag_combine(miml)
     want = _oracle_merge(df[_MIML_COLS], ["n_mentions", "log1m_q"])[_MIML_COLS]
     assert got.to_pandas().equals(want)
+
+
+# --- bucket_reduce: the one bucketed shuffle ---------------------------------
+
+_BR_INT = st.one_of(st.none(), st.integers(-3, 3),
+                    st.sampled_from([2**53 + 1, 2**60 + 3, 2**62 + 7]))
+# no embedded NUL: pandas 2.2's multi-key groupby (the pandas reducer
+# below) mixes up strings that differ only after a NUL
+_BR_STR = st.sampled_from(["a", "é", "漢字", "ß", "a b", ""])
+
+
+@settings(max_examples=3, deadline=None)
+@example(rows=[(2**60 + 3, "é", "ß", 1), (None, "a", "a", 2),
+               (2**60 + 3, "é", "ß", 3)], str_keys=False, n_blocks=2)
+@given(st.lists(st.tuples(_BR_INT, _BR_STR, _BR_STR, st.integers(0, 9)),
+                min_size=1, max_size=30),
+       st.booleans(), st.integers(1, 4))
+def test_bucket_reduce_matches_one_reduce(ray_session, rows, str_keys,
+                                          n_blocks):
+    """Per-key sums through ``bucket_reduce`` equal one in-process reduce
+    over the whole table as a multiset, for 1, 3 and 64 buckets over
+    ``n_blocks`` input blocks: an int64 key (≥ 2^53, with nulls) through
+    an Arrow reducer, two non-ASCII string keys through a pandas one.
+    The reducer never sees the routing column, and every output block is
+    Arrow without schema metadata."""
+    import ray
+    import ray.data as rd
+
+    from stanford_re_ray.functions.relational import bucket_reduce
+    from stanford_re_ray.schema import pd_to_arrow
+
+    table = pa.table({"k": pa.array([r[0] for r in rows], pa.int64()),
+                      "s1": [r[1] for r in rows], "s2": [r[2] for r in rows],
+                      "v": pa.array([r[3] for r in rows], pa.int64())})
+    key = ["s1", "s2"] if str_keys else ["k"]
+    fmt = "pandas" if str_keys else "pyarrow"
+
+    def reduce(g):
+        if isinstance(g, pa.Table):
+            assert "__bucket" not in g.column_names
+            return g.group_by(key).aggregate([("v", "sum"), ("v", "count")])
+        assert "__bucket" not in g.columns
+        return g.groupby(key, as_index=False).agg(
+            v_sum=("v", "sum"), v_count=("v", "size"))
+
+    want = reduce(table if fmt == "pyarrow" else table.to_pandas())
+    want = _sorted_rows(want if isinstance(want, pa.Table)
+                        else pd_to_arrow(want))
+    size = -(-len(rows) // n_blocks)
+    ds = rd.from_arrow([table.slice(o, size)
+                        for o in range(0, len(rows), size)])
+    for n_buckets in (1, 3, 64):
+        out = bucket_reduce(ds, key, reduce, n_buckets=n_buckets,
+                            batch_format=fmt).materialize()
+        blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert all(isinstance(b, pa.Table) and b.schema.metadata is None
+                   for b in blocks), n_buckets
+        got = pa.concat_tables([b for b in blocks if b.num_rows])
+        assert got.schema == want.schema, n_buckets
+        assert _sorted_rows(got).equals(want), n_buckets
