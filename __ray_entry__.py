@@ -6,8 +6,8 @@ in the library code) calls ``ray.init`` / ``ray.shutdown``.
 - ``entry()`` — flagship KG pipeline over sf0.001: the ``documents`` table
   is wrapped into the Common-Crawl-style pages shape (url, warc_ts, html,
   text, lang — BASELINE.json input_hint), then streamed through
-  extract → NLP → mentions/pairs/features → LR scoring → bag groupby →
-  consistency.  Returns the triples Dataset.
+  ``pipelines.kg.triples_stage`` (extract → NLP → mentions/pairs/features
+  → LR scoring → bag reduce + consistency).  Returns the triples Dataset.
 - ``queries()`` — one entry per implemented operator family (SURVEY.md §2 +
   the large-scale dedup/similarity/text-analysis additions).
 - ``oracle_sql()`` — DuckDB equivalents for every SQL-expressible query;
@@ -147,13 +147,7 @@ def entry() -> Any:
     import ray.data as rd
 
     from stanford_re_ray.fixtures import gen_corpus
-    from stanford_re_ray.pipelines.kg import (
-        extract_stage,
-        kg_tail,
-        nlp_stage,
-        pairs_stage,
-        score_stage,
-    )
+    from stanford_re_ray.pipelines.kg import triples_stage
 
     model, dicts, clusters = _fixture_model()
     # driver tables (documents wrapped into the pages shape) + a slice of
@@ -164,10 +158,7 @@ def entry() -> Any:
     fx = gen_corpus(60, per_lo=200, per_hi=400, org_lo=100, org_hi=200,
                     base_url="https://t.example")
     pages = doc_pages.union(rd.from_arrow(fx.pages))
-    docs = extract_stage(pages)
-    sentences = nlp_stage(docs, dicts)
-    pairs = pairs_stage(sentences, clusters)
-    return kg_tail(score_stage(pairs, model))
+    return triples_stage(pages, model, dicts=dicts, clusters=clusters)
 
 
 # --- KG pipeline queries (rows-only checks: not SQL-expressible) ------------
@@ -237,11 +228,11 @@ def kg_triples_mimlre(sf_dir: str):
             tmp = cache + f".tmp{os.getpid()}"
             _MODEL_CACHE["miml"].save(tmp)
             os.replace(tmp, cache)
-    from stanford_re_ray.pipelines.kg import run_kg_pipeline_miml
+    from stanford_re_ray.pipelines.kg import triples_stage
 
     pages, test = _kg_pages(sf_dir)
-    return run_kg_pipeline_miml(pages, _MODEL_CACHE["miml"],
-                                dicts=test.dicts, clusters=test.clusters)
+    return triples_stage(pages, _MODEL_CACHE["miml"], dicts=test.dicts,
+                         clusters=test.clusters)
 
 
 def kg_triples_hoffmann(sf_dir: str):
@@ -271,12 +262,11 @@ def kg_triples_hoffmann(sf_dir: str):
             tmp = cache + f".tmp{os.getpid()}"
             _MODEL_CACHE["hoffmann"].save(tmp)
             os.replace(tmp, cache)
-    from stanford_re_ray.pipelines.kg import run_kg_pipeline_hoffmann
+    from stanford_re_ray.pipelines.kg import triples_stage
 
     pages, test = _kg_pages(sf_dir)
-    return run_kg_pipeline_hoffmann(pages, _MODEL_CACHE["hoffmann"],
-                                    dicts=test.dicts,
-                                    clusters=test.clusters)
+    return triples_stage(pages, _MODEL_CACHE["hoffmann"], dicts=test.dicts,
+                         clusters=test.clusters)
 
 
 def kg_doc_ner_stats(sf_dir: str):

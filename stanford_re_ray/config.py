@@ -1,21 +1,22 @@
-"""Pipeline configuration + stage registry — the user-extension surface.
+"""Pipeline configuration — the user-extension surface of the KG run.
 
 The reference's knobs are ``@Option`` statics populated from
 properties/HOCON (kbp/sf/common/Props.java, 518 lines; SlotfillingSystem
 .exec — SURVEY.md §2.12); its model registry constructs classifiers by
-reflection (ModelType.java:12-92), and annotators/post-processors compose
-via lists (KBPProcess.java:180-190, SlotfillPostProcessor.and()).
+reflection (ModelType.java:12-92).
 
 Here: one dataclass holding the semantics knobs the reference exposes
-(feature set, caps, thresholds, sampling ratios, consistency toggles), a
-``STAGE_REGISTRY`` mapping stage names to callables so users can insert /
-replace stages by name, and a scorer registry for the model zoo.
+(caps, thresholds, rule additions, consistency toggles, graph
+completion), read by ``pipelines.kg.triples_stage`` and
+``run_kg_pipeline``.  There is no model registry: the model's type picks
+the scorer and the bag reducer (``pipelines.kg._score``).  Training
+knobs are the training functions' own arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
@@ -40,10 +41,6 @@ class PipelineConfig:
     #: "per_reltype", "cross_reltype" (RelationFilter.java:297-480).
     #: Empty = filter disabled (the reference default).
     relation_filter_components: tuple = ()
-    # training (KBPTrainer knobs)
-    negative_subsample: float = 0.10       # Props.java:148-149
-    feature_count_threshold: int = 5       # Props.java:146-147
-    epochs: int = 150
     # S7 consistency
     enforce_cardinality: bool = True
     enforce_incompatibilities: bool = True
@@ -67,50 +64,3 @@ class PipelineConfig:
     est_rows: int | None = None            # else size-derived from this
                                            # row estimate (resolve_n_buckets;
                                            # bare default 64)
-    # official output
-    year: int = 2013
-    run_id: str = "ray_kg_1"
-
-
-#: stage name → callable factory; users may replace or extend
-#: (the ModelType / annotator-list registry analog).  Values are the
-#: module-level functions so a replacement only needs the same signature.
-def _default_registry() -> dict[str, Callable]:
-    from .pipelines import kg
-
-    return {
-        "extract": kg.extract_stage,
-        "nlp": kg.nlp_stage,
-        "pairs": kg.pairs_stage,
-        "score": kg.score_stage,
-        "bags": kg.bag_stage,
-        "consistency": kg.consistency_stage,
-        "nodes": kg.nodes_stage,
-        "edges": kg.edges_stage,
-    }
-
-
-STAGE_REGISTRY: dict[str, Callable] = {}
-
-
-def get_stage(name: str) -> Callable:
-    if not STAGE_REGISTRY:
-        STAGE_REGISTRY.update(_default_registry())
-    return STAGE_REGISTRY[name]
-
-
-def register_stage(name: str, fn: Callable) -> None:
-    """Replace / add a pipeline stage by name (user-extension hook)."""
-    if not STAGE_REGISTRY:
-        STAGE_REGISTRY.update(_default_registry())
-    STAGE_REGISTRY[name] = fn
-
-
-#: scorer registry — the ModelType enum analog.  "lr" is the default
-#: (LR_INC, Props.java:144-145); "rules" is the TOKENREGEX analog;
-#: "ensemble" combines both (EnsembleRelationExtractor analog).
-SCORER_REGISTRY: dict[str, str] = {
-    "lr": "stanford_re_ray.stages.classify:MentionScorer",
-    "rules": "stanford_re_ray.stages.rules:RuleExtractor",
-    "hoffmann": "stanford_re_ray.stages.classify:HoffmannScorer",
-}

@@ -21,10 +21,12 @@ Determinism (the repo contract): per-document gradient contributions
 are quantized to int64 (residual x 1e9) BEFORE any cross-partition
 sum, so every reduce is an associative integer sum — bit-identical
 under any partitioning; per-document scores quantize to ppm the same
-way before the per-source mean.  Scale note: int64 gradient
-accumulators hold ~1e14 per feature at test scale; beyond ~1e7 docs
-per reduce, shard the epoch into per-partition averaged sub-gradients
-(the ``pipelines.train`` sharded-fit pattern) before summing.
+way before the per-source mean.  Scale note: |residual| ≤ 1, so a
+feature's accumulator stays below 1e9 × its summed counts (the bias's
+below 1e9 × the document count); training raises before either bound
+can pass 2^63 - 1 (~9.2e9 summed counts) instead of wrapping.  Beyond
+it, shard the epoch into per-partition averaged sub-gradients (the
+``pipelines.train`` sharded-fit pattern) before summing.
 
 No SQL oracle — iterative GD is outside DuckDB; the pytest gate pins
 the full output against an independent serial numpy twin
@@ -112,18 +114,54 @@ def _doc_probs(batch: pa.Table, w: np.ndarray) -> tuple[np.ndarray, ...]:
     return p, flat_idx, flat_cnt, parent
 
 
+#: the quantized residual's bound: |p - y| ≤ 1, scaled by 1e9
+DQ_MAX = 10**9
+
+
+def _sum_partials(partials: ray.data.Dataset, d: int,
+                  small: bool) -> np.ndarray:
+    """Σ g per j over the per-block (j, g) partial rows, in g's dtype:
+    on the driver when ``small`` (no shuffle), else in one distributed
+    groupby (1e12-doc corpora)."""
+    from ray.data.aggregate import Sum
+
+    if not small:
+        partials = partials.groupby("j").aggregate(Sum("g", alias_name="g"))
+    rows = partials.to_pandas()
+    g = rows["g"].to_numpy()
+    out = np.zeros(d + 1, dtype=g.dtype)
+    np.add.at(out, rows["j"].to_numpy(np.int64), g)
+    return out
+
+
 def train_quality_lr(feats: ray.data.Dataset, n_docs: int,
                      d: int = QUALITY_DIM, epochs: int = 8,
                      lr: float = 0.5) -> np.ndarray:
     """Full-batch gradient descent, one broadcast-weights pass per
-    epoch; returns the (d+1) weight vector (last element = bias)."""
-    from ray.data.aggregate import Sum
-
-    w = np.zeros(d + 1, dtype=np.float64)
+    epoch; returns the (d+1) weight vector (last element = bias).
+    Raises ``OverflowError`` when an int64 gradient accumulator could
+    wrap: DQ_MAX times a feature's summed counts, or times the document
+    count, passes 2^63 - 1."""
     # (d+1) rows per input block reach the reduce; below the cutoff the
-    # driver sums them directly (no shuffle), beyond it a distributed
-    # groupby takes over (1e12-doc corpora)
-    n_partial_rows = (d + 1) * feats.num_blocks()
+    # driver sums them directly
+    small = (d + 1) * feats.num_blocks() <= 2_000_000
+
+    def count_partial(batch: pa.Table) -> pa.Table:
+        _, flat_idx, flat_cnt, _ = _doc_probs(batch, np.zeros(d + 1))
+        c = np.zeros(d + 1, dtype=np.float64)
+        np.add.at(c, flat_idx, flat_cnt.astype(np.float64))
+        c[d] = batch.num_rows
+        return pa.table({"j": pa.array(np.arange(d + 1, dtype=np.int64)),
+                         "g": pa.array(c)})
+
+    worst = DQ_MAX * _sum_partials(
+        feats.map_batches(count_partial, batch_format="pyarrow"), d,
+        small).max(initial=0.0)
+    if worst >= 2.0**63:
+        raise OverflowError(
+            f"int64 gradient sums could reach {worst:.3g} (≥ 2^63): "
+            "shard the corpus into averaged sub-gradients")
+    w = np.zeros(d + 1, dtype=np.float64)
     for _ in range(epochs):
         ref = ray.put(w)
 
@@ -140,23 +178,10 @@ def train_quality_lr(feats: ray.data.Dataset, n_docs: int,
             return pa.table({"j": pa.array(np.arange(d + 1, dtype=np.int64)),
                              "g": pa.array(g)})
 
-        partials = feats.map_batches(grad_partial,
-                                     batch_format="pyarrow")
-        if n_partial_rows <= 2_000_000:
-            # few enough partial rows: sum them on the driver and skip
-            # the per-epoch shuffle (int64 sums — bit-identical to the
-            # groupby path under any partitioning)
-            rows = partials.to_pandas()
-            gi = np.zeros(d + 1, dtype=np.int64)
-            np.add.at(gi, rows["j"].to_numpy(np.int64),
-                      rows["g"].to_numpy(np.int64))
-            g = gi.astype(np.float64)
-        else:
-            rows = (partials.groupby("j")
-                    .aggregate(Sum("g", alias_name="g")).to_pandas())
-            g = np.zeros(d + 1, dtype=np.float64)
-            g[rows["j"].to_numpy(np.int64)] = \
-                rows["g"].to_numpy(np.float64)
+        # int64 sums: bit-identical under any partitioning, either path
+        g = _sum_partials(feats.map_batches(grad_partial,
+                                            batch_format="pyarrow"),
+                          d, small).astype(np.float64)
         w = w - lr * (g / 1e9) / max(n_docs, 1)
     return w
 

@@ -505,6 +505,22 @@ def hash_join(
     )
 
 
+def segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Row offsets where ``keys`` change in a non-empty key-sorted table;
+    nulls equal each other, as in GROUP BY."""
+    n = t.num_rows
+    new = np.zeros(n, bool)
+    new[0] = True
+    for k in keys:
+        c = t.column(k)
+        a, b = c.slice(1), c.slice(0, n - 1)
+        ne = pc.not_equal(a, b)
+        if c.null_count:
+            ne = pc.coalesce(ne, pc.xor(pc.is_null(a), pc.is_null(b)))
+        new[1:] |= ne.to_numpy(zero_copy_only=False)
+    return np.flatnonzero(new)
+
+
 def bucket_reduce(
     ds: ray.data.Dataset,
     key: list[str] | str,
@@ -571,29 +587,32 @@ def grouped_topk(
     shuffle; then one hash(key) bucket shuffle and a vectorized per-key
     head(k) + rank.  ``tiebreak`` columns (ascending) make the order
     total — REQUIRED for deterministic output when ``order_by`` has
-    duplicates."""
+    duplicates.  Both steps are one Arrow stable sort and a cut at the
+    key's segment starts, so every column keeps its type (a nullable
+    int64 key stays exact above 2^53) and null keys form one group, as
+    in SQL's PARTITION BY; nulls in ``order_by`` sort last."""
     key = [key] if isinstance(key, str) else list(key)
-    tiebreak = list(tiebreak or [])
-    sort_cols = key + [order_by] + tiebreak
-    ascending = [True] * len(key) + [not descending] + [True] * len(tiebreak)
+    sort_keys = ([(c, "ascending") for c in key]
+                 + [(order_by, "descending" if descending else "ascending")]
+                 + [(c, "ascending") for c in tiebreak or []])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df
-        df = df.sort_values(sort_cols, ascending=ascending, kind="mergesort")
-        return df.groupby(key, sort=False).head(k)
+    def top(t: pa.Table) -> tuple[pa.Table, np.ndarray]:
+        """The first k rows of each key in sort order, and their ranks."""
+        t = t.sort_by(sort_keys)
+        starts = (segment_starts(t, key) if t.num_rows
+                  else np.zeros(0, np.int64))
+        rank = (np.arange(1, t.num_rows + 1)
+                - np.repeat(starts, np.diff(starts, append=t.num_rows)))
+        keep = rank <= k
+        return t.filter(keep), rank[keep]
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return g.assign(rank=pd.Series([], dtype="int64"))
-        g = g.sort_values(sort_cols, ascending=ascending, kind="mergesort")
-        g = g.groupby(key, sort=False).head(k)
-        g["rank"] = g.groupby(key, sort=False).cumcount() + 1
-        return g
+    def final(g: pa.Table) -> pa.Table:
+        t, rank = top(g)
+        return t.append_column("rank", pa.array(rank, pa.int64()))
 
-    return bucket_reduce(ds.map_batches(partial, batch_format="pandas"),
-                         key, final, n_buckets=n_buckets, est_rows=est_rows,
-                         batch_format="pandas")
+    return bucket_reduce(ds.map_batches(lambda t: top(t)[0],
+                                        batch_format="pyarrow"),
+                         key, final, n_buckets=n_buckets, est_rows=est_rows)
 
 
 def asof_join(

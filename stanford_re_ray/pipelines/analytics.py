@@ -28,7 +28,18 @@ from ..functions.relational import resolve_n_blocks
 
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    """One table of a scale-factor directory, its blocks WITHOUT schema
+    metadata: the tables were written by pandas, and pandas' dict
+    metadata reaching Ray's schema unification cannot be hashed ("Failed
+    to hash the schemas").  The declared read schema strips it in the
+    read itself, so row counts and schemas still come from the footer."""
+    import pyarrow.parquet as pq
+
+    path = f"{sf_dir}/{table}.parquet"
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=schema)
 
 
 def _row_count(sf_dir: str, table: str) -> int:

@@ -108,13 +108,10 @@ def validate_fills(
     Runs our extraction over the given pages, then marks each proposed
     (subj, pred, obj) +1 if we extract it too (VALIDATE_FORCECLASSIFIABLE
     semantics: classifiable + type-consistent), -1 otherwise."""
-    from .kg import (dataset_to_table, extract_stage, kg_tail, nlp_stage,
-                     pairs_stage, score_stage)
+    from .kg import dataset_to_table, triples_stage
 
-    scored = score_stage(
-        pairs_stage(nlp_stage(extract_stage(pages), dicts), clusters), model
-    )
-    ours = dataset_to_table(kg_tail(scored))
+    ours = dataset_to_table(triples_stage(pages, model, dicts=dicts,
+                                          clusters=clusters))
     ok = _keys(ours.to_pandas())
     judgements = [
         1 if (s, p, o.lower()) in ok else -1

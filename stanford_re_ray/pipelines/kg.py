@@ -10,6 +10,11 @@ one lazy Ray Data graph.
                SMALL_GRAPH_THRESHOLD triples; above it two shuffles:
                blocked + salted names, then (src, pred, dst))─► nodes / edges
 
+One entry point for every model: ``triples_stage`` builds S1–S7 as one
+lazy Dataset, ``run_kg_pipeline`` materializes it and runs S8.  The
+model's type picks S5 and S6 (``_score``: LR, Hoffmann or MIML-RE); a
+``config.PipelineConfig`` sets every other knob.
+
 Everything streams: no full materialization until the triples.  The only
 wide operations are groupbys keyed on *extracted* records (pairs/triples ≪
 pages — SURVEY.md §7.5 scale posture).  The hash-bucketed shuffles (S6/S7,
@@ -17,8 +22,9 @@ the S8 edge merge) are each one ``relational.bucket_reduce``.  The S6/S7
 one is Arrow end to end: bag partials merge in one sort-and-segment kernel
 (``classify.merge_partials``), the greedy walks one sorted list of row
 dicts per bucket, no per-entity DataFrame.  ``bag_stage`` and
-``consistency_stage`` run S6 and S7 as separate shuffles when composed by
-hand; they share their combiner, reducers and entity key with ``kg_tail``.
+``consistency_stage`` run S6 and S7 as separate shuffles, for stage-level
+measurement and tests; they share their combiner, reducers and entity key
+with ``kg_tail``.
 """
 
 from __future__ import annotations
@@ -31,14 +37,18 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..config import PipelineConfig
 from ..functions.relational import bucket_reduce, hash_join
 from ..schema import EDGES, NODES, TRIPLES, conform
 from ..stages import canonicalize as canon
-from ..stages.classify import (ENTITY_KEY, LRModel, MentionScorer,
-                               bag_reduce_bucket, partial_bag_combine)
+from ..stages.classify import (ENTITY_KEY, HoffmannModel, HoffmannScorer,
+                               LRModel, MentionScorer, bag_reduce_bucket,
+                               hoffmann_bag_reduce, partial_bag_combine)
 from ..stages.consistency import (MAX_SLOT_LEN, greedy_consistency_bucket,
                                   unary_filter_batch)
 from ..stages.extract import extract_batch, filter_lang
+from ..stages.miml import (MimlModel, miml_bag_combine, miml_bag_reducer,
+                           miml_score_stage)
 from ..stages.nlp import Dictionaries, NlpAnnotator
 from ..stages.pairs import PairFeaturizer
 
@@ -569,109 +579,48 @@ SMALL_GRAPH_THRESHOLD = 200_000
 BROADCAST_NODE_LIMIT = 1_000_000
 
 
-def run_kg_pipeline(
+def _score(pairs: ray.data.Dataset, model, keep_threshold: float):
+    """S5 for ``model``'s type, with the S6 bag reducer (and combiner)
+    ``kg_tail`` needs for its scores — the ModelType switch
+    (ModelType.java:12-92):
+
+    - ``LRModel``: ``score_stage`` (p > ``keep_threshold``), summed bags;
+    - ``HoffmannModel`` (AT_LEAST_ONCE): ``HoffmannScorer`` (argmax over
+      averaged weights, NIL dropped, RAW unbounded scores as in
+      classifyMentions) and ``hoffmann_bag_reduce``, a per-(pair, rel)
+      MAX — the reference's deterministic-OR Y layer;
+    - ``MimlModel`` (JOINT_BAYES): ``miml_score_stage`` and the y-layer
+      bag reduce (InferentialSlotFiller)."""
+    if isinstance(model, LRModel):
+        return score_stage(pairs, model, keep_threshold=keep_threshold), {}
+    if isinstance(model, HoffmannModel):
+        return pairs.map_batches(HoffmannScorer(ray.put(model)),
+                                 batch_format="pyarrow",
+                                 batch_size=MAP_BATCH_SIZE), {
+            "bag_reduce": hoffmann_bag_reduce}
+    if isinstance(model, MimlModel):
+        return miml_score_stage(pairs, model), {
+            "bag_reduce": miml_bag_reducer(model), "combine": miml_bag_combine}
+    raise TypeError(f"no relation scorer for a {type(model).__name__}: "
+                    "expected an LRModel, HoffmannModel or MimlModel")
+
+
+def triples_stage(
     pages: ray.data.Dataset,
-    model: LRModel,
-    dicts: Dictionaries | None = None,
-    clusters: dict[str, str] | None = None,
-    nlp_concurrency: int | tuple[int, int] | None = None,
-    nlp_mode: str = "tasks",
-    n_salt: int = 1,
-    lang: str = "en",
-) -> dict[str, Any]:
-    """Full pages → {triples, nodes, edges} run.
-
-    ``triples`` is returned materialized (it is the size anchor for the S8
-    path choice); nodes/edges come back as Datasets either way.
-    ``lang=""`` keeps every page — the right setting for sources without
-    language metadata (WARC)."""
-    docs = extract_stage(pages, lang=lang)
-    sentences = nlp_stage(docs, dicts, concurrency=nlp_concurrency,
-                          mode=nlp_mode)
-    pairs = pairs_stage(sentences, clusters)
-    triples = kg_tail(score_stage(pairs, model)).materialize()
-    return {"triples": triples, **_graph_stage(triples, n_salt=n_salt)}
-
-
-def _graph_stage(triples: ray.data.Dataset, n_salt: int = 1,
-                 max_cluster: int = 150) -> dict[str, ray.data.Dataset]:
-    """S8 on materialized triples → {nodes, edges}: driver-side up to
-    SMALL_GRAPH_THRESHOLD triples, else the distributed blocked/salted
-    path, resolving names by broadcast map or, above
-    BROADCAST_NODE_LIMIT nodes, by hash join."""
-    import ray.data as rd
-
-    if triples.count() <= SMALL_GRAPH_THRESHOLD:
-        nodes_tbl, edges_tbl = _graph_small_path(dataset_to_table(triples),
-                                                 max_cluster=max_cluster)
-        return {"nodes": rd.from_arrow(nodes_tbl),
-                "edges": rd.from_arrow(edges_tbl)}
-    nodes = nodes_stage(triples, n_salt=n_salt,
-                        max_cluster=max_cluster).materialize()
-    if nodes.count() > BROADCAST_NODE_LIMIT:
-        edges = edges_stage_join(triples, nodes)
-    else:
-        edges = edges_stage(triples,
-                            name_map_from_nodes(dataset_to_table(nodes)))
-    return {"nodes": nodes, "edges": edges}
-
-
-def run_kg_pipeline_miml(
-    pages: ray.data.Dataset,
-    miml_model,
-    dicts: Dictionaries | None = None,
-    clusters: dict[str, str] | None = None,
-) -> ray.data.Dataset:
-    """pages → TRIPLES with the MIML-RE (JOINT_BAYES) model in place of
-    the default LR scorer+bag stages (same S1–S4 and S7; the z/y layers
-    replace S5/S6 — InferentialSlotFiller with ModelType.JOINT_BAYES).
-    Returns the consistency-filtered triples Dataset."""
-    from ..stages.miml import (miml_bag_combine, miml_bag_reducer,
-                               miml_score_stage)
-
-    pairs = pairs_stage(nlp_stage(extract_stage(pages), dicts), clusters)
-    return kg_tail(miml_score_stage(pairs, miml_model),
-                   bag_reduce=miml_bag_reducer(miml_model),
-                   combine=miml_bag_combine)
-
-
-def run_kg_pipeline_hoffmann(
-    pages: ray.data.Dataset,
-    hoffmann_model,
-    dicts: Dictionaries | None = None,
-    clusters: dict[str, str] | None = None,
-    n_buckets: int | None = None,
-) -> ray.data.Dataset:
-    """pages → TRIPLES with the Hoffmann MultiR latent perceptron in place
-    of the LR scorer+bag stages (ModelType.AT_LEAST_ONCE end-to-end).
-    S5 = ``HoffmannScorer`` (argmax over averaged weights, NIL dropped);
-    S6 = ``hoffmann_bag_reduce``, a per-(pair, rel) MAX — the reference's
-    deterministic-OR Y layer — in the same fused tail as the LR path.
-    Scores are RAW averaged-perceptron scores (unbounded), as in
-    classifyMentions.  Same S7 consistency."""
-    from ..stages.classify import HoffmannScorer, hoffmann_bag_reduce
-
-    pairs = pairs_stage(nlp_stage(extract_stage(pages), dicts), clusters)
-    scored = pairs.map_batches(HoffmannScorer(ray.put(hoffmann_model)),
-                               batch_format="pyarrow",
-                               batch_size=MAP_BATCH_SIZE)
-    return kg_tail(scored, bag_reduce=hoffmann_bag_reduce, n_buckets=n_buckets)
-
-
-def run_kg_pipeline_cfg(
-    pages: ray.data.Dataset,
-    model: LRModel,
-    cfg=None,
+    model,
+    cfg: PipelineConfig | None = None,
     dicts: Dictionaries | None = None,
     clusters: dict[str, str] | None = None,
     rules=None,
-) -> dict[str, Any]:
-    """Config-driven variant of ``run_kg_pipeline`` (PipelineConfig knobs:
-    language filter, NLP mode, rule additions unioned into the bag input —
-    SimpleSlotFiller.java:257-279 —, within-sentence competition, shuffle
-    bucket count, salting, post-hoc graph completion)."""
-    from ..config import PipelineConfig
-
+) -> ray.data.Dataset:
+    """S1–S7 as one lazy Dataset: pages → consistent TRIPLES, typed as
+    ``schema.TRIPLES``.  ``model``'s type picks S5 and S6 (``_score``);
+    ``cfg`` (``PipelineConfig()`` when None) sets the rest: language
+    filter, NLP mode, pair caps, keep threshold, rule additions unioned
+    into the bag input (``rules``, else ``DEFAULT_RULES`` —
+    SimpleSlotFiller.java:257-279), within-sentence competition, the
+    relation filter, S7's toggles and pass-2 chain, and the bucket
+    count."""
     cfg = cfg or PipelineConfig()
     docs = extract_stage(pages, lang=cfg.lang)
     sentences = nlp_stage(docs, dicts, concurrency=cfg.nlp_concurrency,
@@ -681,7 +630,7 @@ def run_kg_pipeline_cfg(
                         clusters if cfg.use_cluster_features else None,
                         max_pair_distance=cfg.max_pair_distance,
                         max_sent_tokens=cfg.max_sent_tokens)
-    scored = score_stage(pairs, model, keep_threshold=cfg.keep_threshold)
+    scored, bags = _score(pairs, model, cfg.keep_threshold)
     if cfg.use_rules:
         from ..stages.rules import DEFAULT_RULES, RuleExtractor
 
@@ -706,8 +655,9 @@ def run_kg_pipeline_cfg(
         from ..stages.consistency import GeoMaps, pass2_chain
 
         extra = pass2_chain(GeoMaps())
-    triples = kg_tail(
+    return kg_tail(
         scored,
+        **bags,
         n_buckets=cfg.n_buckets,
         est_rows=cfg.est_rows,
         max_slot_len=cfg.max_slot_len,
@@ -716,16 +666,60 @@ def run_kg_pipeline_cfg(
         extra_pass=extra,
         gibbs_mixing_time=(cfg.gibbs_mixing_time
                            if cfg.gibbs_objective == "sum" else None),
-    ).materialize()
+    )
+
+
+def run_kg_pipeline(
+    pages: ray.data.Dataset,
+    model,
+    cfg: PipelineConfig | None = None,
+    dicts: Dictionaries | None = None,
+    clusters: dict[str, str] | None = None,
+    rules=None,
+) -> dict[str, Any]:
+    """Full pages → {triples, nodes, edges} run: ``triples_stage``, then
+    S8 and the optional graph completion (``cfg.symmetrize``,
+    ``cfg.add_inverses``).
+
+    ``triples`` is returned materialized (it is the size anchor for the S8
+    path choice); nodes/edges come back as Datasets either way.
+    ``PipelineConfig(lang="")`` keeps every page — the right setting for
+    sources without language metadata (WARC)."""
+    cfg = cfg or PipelineConfig()
+    triples = triples_stage(pages, model, cfg, dicts, clusters,
+                            rules).materialize()
     graph = _graph_stage(triples, n_salt=cfg.n_salt,
                          max_cluster=cfg.max_cluster)
-    nodes, edges = graph["nodes"], graph["edges"]
-    if cfg.symmetrize or cfg.add_inverses:
-        from .graph_ops import add_inverses as _inv
-        from .graph_ops import symmetrize as _sym
+    edges = graph["edges"]
+    if cfg.symmetrize:
+        from .graph_ops import symmetrize
 
-        if cfg.symmetrize:
-            edges = _sym(edges)
-        if cfg.add_inverses:
-            edges = _inv(edges)
-    return {"triples": triples, "nodes": nodes, "edges": edges}
+        edges = symmetrize(edges)
+    if cfg.add_inverses:
+        from .graph_ops import add_inverses
+
+        edges = add_inverses(edges)
+    return {"triples": triples, "nodes": graph["nodes"], "edges": edges}
+
+
+def _graph_stage(triples: ray.data.Dataset, n_salt: int = 1,
+                 max_cluster: int = 150) -> dict[str, ray.data.Dataset]:
+    """S8 on materialized triples → {nodes, edges}: driver-side up to
+    SMALL_GRAPH_THRESHOLD triples, else the distributed blocked/salted
+    path, resolving names by broadcast map or, above
+    BROADCAST_NODE_LIMIT nodes, by hash join."""
+    import ray.data as rd
+
+    if triples.count() <= SMALL_GRAPH_THRESHOLD:
+        nodes_tbl, edges_tbl = _graph_small_path(dataset_to_table(triples),
+                                                 max_cluster=max_cluster)
+        return {"nodes": rd.from_arrow(nodes_tbl),
+                "edges": rd.from_arrow(edges_tbl)}
+    nodes = nodes_stage(triples, n_salt=n_salt,
+                        max_cluster=max_cluster).materialize()
+    if nodes.count() > BROADCAST_NODE_LIMIT:
+        edges = edges_stage_join(triples, nodes)
+    else:
+        edges = edges_stage(triples,
+                            name_map_from_nodes(dataset_to_table(nodes)))
+    return {"nodes": nodes, "edges": edges}

@@ -36,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.relational import key_buckets
+from ..functions.relational import key_buckets, segment_starts
 from ..relations import RELATION_NAMES, RELATION_BY_NAME
 
 D_FEATURES = 1 << 18
@@ -501,17 +501,6 @@ _PROV_COLS = ["doc_id", "sent_idx", "subj_begin", "subj_end",
               "obj_begin", "obj_end"]
 _TIE_COLS = ["best_q", "doc_id", "sent_idx", "subj_begin", "obj_begin"]
 _BAG_KEY = PAIR_KEY + ["rel"]
-
-
-def segment_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """Row offsets where ``keys`` change in a non-empty key-sorted table."""
-    new = np.zeros(t.num_rows, bool)
-    new[0] = True
-    for k in keys:
-        c = t.column(k)
-        new[1:] |= pc.not_equal(c.slice(1), c.slice(0, t.num_rows - 1)
-                                ).to_numpy(zero_copy_only=False)
-    return np.flatnonzero(new)
 
 
 def merge_partials(batch, sum_cols: list[str]) -> pa.Table:

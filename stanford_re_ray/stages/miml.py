@@ -612,18 +612,6 @@ def miml_score_stage(pairs, model: MimlModel):
                              batch_size=MAP_BATCH_SIZE)
 
 
-def miml_bag_stage(scored, model: MimlModel, n_buckets: int = 64,
-                   threshold: float = 0.5):
-    """S6 (MIML variant) on its own: ``pipelines.kg.bag_stage`` with the
-    MIML combiner and the y-layer bag reduce (``kg_tail`` fuses the same
-    reduce with S7)."""
-    from ..pipelines.kg import bag_stage
-
-    return bag_stage(scored, n_buckets=n_buckets,
-                     bag_reduce=miml_bag_reducer(model, threshold),
-                     combine=miml_bag_combine)
-
-
 def classify_bags(model: MimlModel,
                   bag_datums: dict[str, list[np.ndarray]],
                   threshold: float = 0.5) -> dict[str, dict[str, float]]:

@@ -149,6 +149,7 @@ def run_kg_checkpointed(
     """
     import ray.data as rd
 
+    from ..config import PipelineConfig
     from ..pipelines.kg import dataset_to_table, run_kg_pipeline
     from ..stages.extract import EXTRACTOR_VERSION
 
@@ -169,8 +170,8 @@ def run_kg_checkpointed(
             pages = (reader(shard) if reader is not None
                      else rd.read_parquet(shard))
             n_pages = pages.count()
-            res = run_kg_pipeline(pages, model, dicts=dicts,
-                                  clusters=clusters, lang=lang)
+            res = run_kg_pipeline(pages, model, PipelineConfig(lang=lang),
+                                  dicts=dicts, clusters=clusters)
             triples_tbl = dataset_to_table(res["triples"])
             nodes_tbl = dataset_to_table(res["nodes"])
             edges_tbl = dataset_to_table(res["edges"])

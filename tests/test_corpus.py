@@ -567,3 +567,44 @@ def test_vocab_churn_blocks_carry_no_pandas_metadata(ray_session):
     for b in blocks:
         assert isinstance(b, pa.Table)
         assert b.schema.metadata is None
+
+
+def test_sf_reads_carry_no_pandas_metadata(ray_session):
+    """The sf tables were written by pandas; ``analytics._read`` yields
+    their blocks without that metadata, so no "Failed to hash the
+    schemas" warning is logged, neither while ``q227_tokenizer_fertility``
+    runs nor when Ray's schema unification (what its reduce tasks and
+    actors run over block schemas) meets the read blocks' schemas in this
+    process — worker-side records reach no handler here."""
+    import logging
+
+    import ray
+    from ray.data._internal.arrow_ops.transform_pyarrow import \
+        unify_schemas
+
+    from stanford_re_ray.pipelines.analytics import (
+        _read, q227_tokenizer_fertility)
+
+    seen: list[str] = []
+
+    class Catch(logging.Handler):
+        def emit(self, record):
+            if "Failed to hash the schemas" in record.getMessage():
+                seen.append(record.getMessage())
+
+    logger = logging.getLogger(unify_schemas.__module__)
+    handler, level = Catch(level=logging.WARNING), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        ds = _read("/root/testdata/sf0.001", "documents",
+                   ["doc_id", "source", "text"]).materialize()
+        blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        assert blocks and all(b.schema.metadata is None for b in blocks)
+        unify_schemas([b.schema for b in blocks])
+        assert q227_tokenizer_fertility("/root/testdata/sf0.001").num_rows
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert not seen, seen[:2]

@@ -91,15 +91,22 @@ def _fused_and_composed(kind, world, models):
     """(fused triples, composed triples) Datasets for one model kind."""
     from stanford_re_ray.pipelines import kg
 
-    pages = _blocks(world.pages, 4)
     model = models[kind]
-    run = {"lr": lambda *a, **k: kg.run_kg_pipeline(*a, **k)["triples"],
-           "hoffmann": kg.run_kg_pipeline_hoffmann,
-           "miml": kg.run_kg_pipeline_miml}[kind]
-    fused = run(pages, model, dicts=world.dicts, clusters=world.clusters)
+    fused = kg.triples_stage(_blocks(world.pages, 4), model,
+                             dicts=world.dicts, clusters=world.clusters)
     scored, tail = _scored(kind, _pairs(world, 4), model)
     composed = kg.bag_stage(scored, **tail)
     return fused, kg.consistency_stage(composed)
+
+
+def test_model_type_picks_the_scorer(world):
+    """``triples_stage`` takes an LR, Hoffmann or MIML model; any other
+    type raises instead of guessing a scorer."""
+    from stanford_re_ray.pipelines import kg
+
+    with pytest.raises(TypeError, match="dict"):
+        kg.triples_stage(_blocks(world.pages, 1), {"weights": None},
+                         dicts=world.dicts)
 
 
 @pytest.mark.parametrize("kind", ["lr", "hoffmann", "miml"])

@@ -26,11 +26,10 @@ def test_miml_pipeline_extracts_triples(miml_world):
     import ray.data as rd
 
     from stanford_re_ray.evaluate import score_triples
-    from stanford_re_ray.pipelines.kg import (dataset_to_table,
-                                              run_kg_pipeline_miml)
+    from stanford_re_ray.pipelines.kg import dataset_to_table, triples_stage
 
     train, model = miml_world
-    triples = run_kg_pipeline_miml(
+    triples = triples_stage(
         rd.from_arrow(train.pages).repartition(4), model,
         dicts=train.dicts, clusters=train.clusters)
     tbl = dataset_to_table(triples.materialize())
@@ -43,10 +42,11 @@ def test_miml_pipeline_extracts_triples(miml_world):
 def test_distributed_bags_match_classify_bags(miml_world):
     import ray.data as rd
 
-    from stanford_re_ray.pipelines.kg import (dataset_to_table,
+    from stanford_re_ray.pipelines.kg import (bag_stage, dataset_to_table,
                                               extract_stage, nlp_stage,
                                               pairs_stage)
-    from stanford_re_ray.stages.miml import (classify_bags, miml_bag_stage,
+    from stanford_re_ray.stages.miml import (classify_bags, miml_bag_combine,
+                                             miml_bag_reducer,
                                              miml_score_stage)
 
     train, model = miml_world
@@ -56,7 +56,9 @@ def test_distributed_bags_match_classify_bags(miml_world):
 
     # distributed path (pre-consistency)
     dist = dataset_to_table(
-        miml_bag_stage(miml_score_stage(pairs, model), model)
+        bag_stage(miml_score_stage(pairs, model),
+                  bag_reduce=miml_bag_reducer(model),
+                  combine=miml_bag_combine)
     ).to_pandas()
     dist_set = {(r.subj, r.subj_type, r.obj, r.obj_type, r.pred)
                 for r in dist.itertuples()}
@@ -78,15 +80,14 @@ def test_distributed_bags_match_classify_bags(miml_world):
 def test_miml_distributed_deterministic(miml_world):
     import ray.data as rd
 
-    from stanford_re_ray.pipelines.kg import (dataset_to_table,
-                                              run_kg_pipeline_miml)
+    from stanford_re_ray.pipelines.kg import dataset_to_table, triples_stage
 
     train, model = miml_world
 
     def digest(n_parts):
         import hashlib
 
-        t = dataset_to_table(run_kg_pipeline_miml(
+        t = dataset_to_table(triples_stage(
             rd.from_arrow(train.pages).repartition(n_parts), model,
             dicts=train.dicts, clusters=train.clusters).materialize())
         df = t.to_pandas().sort_values(

@@ -71,14 +71,14 @@ def test_cfg_pipeline_with_rules_and_competition(ray_session, trained):
 
     from stanford_re_ray.config import PipelineConfig
     from stanford_re_ray.evaluate import score_triples
-    from stanford_re_ray.pipelines.kg import dataset_to_table, run_kg_pipeline_cfg
+    from stanford_re_ray.pipelines.kg import dataset_to_table, run_kg_pipeline
 
     model, test = trained
     cfg = PipelineConfig(use_rules=True, sentence_competition=False,
                         add_inverses=True)
-    res = run_kg_pipeline_cfg(rd.from_arrow(test.pages).repartition(4),
-                              model, cfg, dicts=test.dicts,
-                              clusters=test.clusters)
+    res = run_kg_pipeline(rd.from_arrow(test.pages).repartition(4),
+                          model, cfg, dicts=test.dicts,
+                          clusters=test.clusters)
     tri = dataset_to_table(res["triples"])
     s = score_triples(tri, test.gold)
     assert s.precision >= 0.95 and s.recall >= 0.95
@@ -226,15 +226,14 @@ def test_hoffmann_deterministic():
 
 def test_hoffmann_e2e_pipeline(ray_session):
     """End-to-end AT_LEAST_ONCE: distant-supervision train via
-    train_model_hoffmann, inference via run_kg_pipeline_hoffmann
+    train_model_hoffmann, inference via triples_stage
     (HoffmannScorer + max-reduce bag stage + shared consistency), gated
     on the same P/R >= 0.95 bar as the LR pipeline."""
     import ray.data as rd
 
     from stanford_re_ray.evaluate import score_triples
     from stanford_re_ray.fixtures import gen_corpus
-    from stanford_re_ray.pipelines.kg import (dataset_to_table,
-                                              run_kg_pipeline_hoffmann)
+    from stanford_re_ray.pipelines.kg import dataset_to_table, triples_stage
     from stanford_re_ray.pipelines.train import train_model_hoffmann
 
     train = gen_corpus(200, per_lo=0, per_hi=120, org_lo=0, org_hi=60)
@@ -244,7 +243,7 @@ def test_hoffmann_e2e_pipeline(ray_session):
         rd.from_arrow(train.pages).repartition(4), train.kb,
         dicts=train.dicts, clusters=train.clusters,
         negative_subsample=1.0, epochs=10)
-    triples = run_kg_pipeline_hoffmann(
+    triples = triples_stage(
         rd.from_arrow(test.pages).repartition(4), model,
         dicts=test.dicts, clusters=test.clusters)
     tbl = dataset_to_table(triples)

@@ -166,14 +166,14 @@ def test_cfg_entailment_wiring(ray_session):
 
     from stanford_re_ray.config import PipelineConfig
     from stanford_re_ray.fixtures import gen_corpus
-    from stanford_re_ray.pipelines.kg import run_kg_pipeline_cfg
+    from stanford_re_ray.pipelines.kg import run_kg_pipeline
     from stanford_re_ray.pipelines.train import train_model
 
     train = gen_corpus(40, per_lo=0, per_hi=40, org_lo=0, org_hi=20)
     model = train_model(rd.from_arrow(train.pages).repartition(2), train.kb,
                         dicts=train.dicts, clusters=train.clusters,
                         negative_subsample=1.0, epochs=30)
-    res = run_kg_pipeline_cfg(
+    res = run_kg_pipeline(
         rd.from_arrow(train.pages), model, PipelineConfig(entailment=True),
         dicts=train.dicts, clusters=train.clusters)
     assert res["triples"].count() > 0

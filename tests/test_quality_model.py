@@ -105,3 +105,22 @@ def test_quality_classifier_labels_nontrivial(ray_session):
                         columns=["doc_id", "text"])
     keep = np.asarray(gopher_quality_batch(tbl).column("keep"))
     assert 0 < keep.sum() < len(keep)
+
+
+def test_gradient_sums_that_could_wrap_raise(ray_session):
+    """One document with a count of 2^40 makes ``count × dq`` pass
+    2^63 - 1 (dq = 5e8 at the first step): training must raise instead
+    of returning weights from wrapped int64 sums."""
+    import ray.data as rd
+
+    from stanford_re_ray.functions.quality_model import train_quality_lr
+
+    feats = rd.from_arrow(pa.table({
+        "doc_id": pa.array([0], pa.int64()),
+        "source": pa.array(["web"]),
+        "y": pa.array([0], pa.int64()),
+        "idx": pa.array([[3]], pa.list_(pa.int64())),
+        "cnt": pa.array([[1 << 40]], pa.list_(pa.int64())),
+    }))
+    with pytest.raises(OverflowError):
+        train_quality_lr(feats, 1, d=8, epochs=1)

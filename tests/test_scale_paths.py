@@ -52,12 +52,12 @@ def test_edges_join_matches_broadcast(ray_session):
 def test_config_knobs_reach_stages(ray_session):
     """max_pair_distance=0 must kill every candidate pair → zero triples;
     defaults must keep producing them (proves the knob is wired through
-    run_kg_pipeline_cfg, not silently ignored)."""
+    run_kg_pipeline, not silently ignored)."""
     import ray.data as rd
 
     from stanford_re_ray.config import PipelineConfig
     from stanford_re_ray.fixtures import gen_corpus
-    from stanford_re_ray.pipelines.kg import run_kg_pipeline_cfg
+    from stanford_re_ray.pipelines.kg import run_kg_pipeline
     from stanford_re_ray.pipelines.train import train_model
 
     train = gen_corpus(60, per_lo=0, per_hi=60, org_lo=0, org_hi=30)
@@ -66,24 +66,24 @@ def test_config_knobs_reach_stages(ray_session):
                         clusters=train.clusters, negative_subsample=1.0,
                         epochs=40)
 
-    base = run_kg_pipeline_cfg(
+    base = run_kg_pipeline(
         rd.from_arrow(train.pages), model, PipelineConfig(),
         dicts=train.dicts, clusters=train.clusters)
     assert base["triples"].count() > 0
 
-    strangled = run_kg_pipeline_cfg(
+    strangled = run_kg_pipeline(
         rd.from_arrow(train.pages), model,
         PipelineConfig(max_pair_distance=0),
         dicts=train.dicts, clusters=train.clusters)
     assert strangled["triples"].count() == 0
 
-    short_sent = run_kg_pipeline_cfg(
+    short_sent = run_kg_pipeline(
         rd.from_arrow(train.pages), model,
         PipelineConfig(max_sent_tokens=2),
         dicts=train.dicts, clusters=train.clusters)
     assert short_sent["triples"].count() == 0
 
-    high_bar = run_kg_pipeline_cfg(
+    high_bar = run_kg_pipeline(
         rd.from_arrow(train.pages), model,
         PipelineConfig(keep_threshold=1.0),
         dicts=train.dicts, clusters=train.clusters)
@@ -509,6 +509,36 @@ def test_grouped_topk_cross_batch(ray_session):
                          tiebreak=["id"]).to_pandas()
             .sort_values("rank").reset_index(drop=True))
     assert list(out2["id"]) == [10, 20]
+
+
+def test_grouped_topk_keeps_large_nullable_int_keys(ray_session):
+    """Distinct int64 keys above 2^53 in a column with a null stay
+    distinct groups: each key gets its own k rows (a float64 round trip
+    would merge them into one), the null key is one group of its own,
+    and the key column stays int64."""
+    import ray.data as rd
+
+    from stanford_re_ray.functions.relational import grouped_topk
+    from stanford_re_ray.pipelines.kg import dataset_to_table
+
+    base = 1 << 60
+    rows = [(base + i, 5 * i + j) for i in range(37) for j in range(5)]
+    rows = [rows[(7 * i) % 185] for i in range(185)]   # spread each key
+    # five blocks, each with one null key: every block's key column
+    # holds a null beside the large keys
+    ds = rd.from_arrow([pa.table({
+        "k": pa.array([None] + [k for k, _ in rows[o:o + 37]], pa.int64()),
+        "v": pa.array([185 + b] + [v for _, v in rows[o:o + 37]],
+                      pa.int64())}) for b, o in enumerate(range(0, 185, 37))])
+    out = dataset_to_table(grouped_topk(ds, key="k", order_by="v", k=3))
+    assert out.schema.field("k").type == pa.int64()
+    got = {}
+    for k, v, r in zip(*(out.column(c).to_pylist() for c in ("k", "v",
+                                                             "rank"))):
+        got.setdefault(k, []).append((r, v))
+    want = {k: [(1, 5 * j + 4), (2, 5 * j + 3), (3, 5 * j + 2)]
+            for j, k in enumerate([base + i for i in range(37)] + [None])}
+    assert {k: sorted(g) for k, g in got.items()} == want
 
 
 def test_asof_join_consistent_int_dtype_across_buckets(ray_session):
